@@ -80,12 +80,11 @@ class ScopedServer {
     options.poll_interval_ms = 1;
     return options;
   }
-  /// Round-robin pins connection placement (connection k -> shard k % N),
-  /// so the scaling family measures N busy reactors, not kernel hash luck.
+  /// Connection k lands on shard k % N (round-robin placement), so the
+  /// scaling family measures N busy reactors.
   static net::ServerOptions sharded_options(std::size_t shards) {
     net::ServerOptions options = fast_options();
     options.shards = shards;
-    options.dispatch = net::DispatchMode::kRoundRobin;
     return options;
   }
 

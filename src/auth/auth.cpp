@@ -97,22 +97,9 @@ void provision_auth(puf::ConfigurableEnrollment& enrollment, Rng& rng) {
 
 std::optional<crypto::Sha256Digest> derive_enrollment_key(
     const puf::ConfigurableEnrollment& enrollment) {
-  const crypto::CyclicCode* code = code_for_id(enrollment.auth_code_id);
-  if (code == nullptr || !helper_is_consistent(enrollment, *code)) {
-    return std::nullopt;
-  }
-  const crypto::FuzzyExtractor extractor(code);
   // Zero errors against the enrollment-time response: Rep recovers the
   // enrolled key exactly, or the helper bytes were tampered with.
-  const std::optional<crypto::Sha256Digest> key =
-      extractor.reproduce(enrollment.response(), enrollment.auth_helper);
-  if (!key.has_value()) return std::nullopt;
-  const crypto::Sha256Digest check = crypto::sha256(key->data(), key->size());
-  if (!constant_time_equal(check.data(), enrollment.auth_key_check.data(),
-                           check.size())) {
-    return std::nullopt;
-  }
-  return key;
+  return recover_key(enrollment.response(), enrollment);
 }
 
 std::optional<crypto::Sha256Digest> recover_key(
@@ -125,7 +112,18 @@ std::optional<crypto::Sha256Digest> recover_key(
     return std::nullopt;
   }
   const crypto::FuzzyExtractor extractor(code);
-  return extractor.reproduce(noisy_response, enrollment.auth_helper);
+  const std::optional<crypto::Sha256Digest> key =
+      extractor.reproduce(noisy_response, enrollment.auth_helper);
+  if (!key.has_value()) return std::nullopt;
+  // Noise past the radius can decode to a wrong codeword instead of failing,
+  // and tampered helper bytes drift the key; the key check value catches
+  // both.
+  const crypto::Sha256Digest check = crypto::sha256(key->data(), key->size());
+  if (!constant_time_equal(check.data(), enrollment.auth_key_check.data(),
+                           check.size())) {
+    return std::nullopt;
+  }
+  return key;
 }
 
 Tag prove(const crypto::Sha256Digest& key, const Nonce& nonce,

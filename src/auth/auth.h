@@ -14,7 +14,9 @@
 //                cross-checks the KCV, so corrupt helper material surfaces
 //                as a detectable failure instead of a garbage key.
 //   prover       recover_key() runs Rep on the noisy re-measurement; within
-//                the code's correction radius the same key comes back.
+//                the code's correction radius the same key comes back, and
+//                the same KCV cross-check turns a miscorrected block into a
+//                keyless prover that fails closed.
 //   exchange     the server sends a fresh nonce; the prover returns
 //                HMAC(key, nonce || request_id || device_id); the server
 //                compares in constant time. Replays fail because the
@@ -78,8 +80,10 @@ std::optional<crypto::Sha256Digest> derive_enrollment_key(
     const puf::ConfigurableEnrollment& enrollment);
 
 /// Prover-side key recovery: Rep over a noisy re-measurement of the
-/// enrolled response. nullopt when any block decodes outside the code's
-/// radius (the prover then cannot produce a valid tag — fails closed).
+/// enrolled response, cross-checked against the key check value. nullopt
+/// when any block decodes outside the code's radius or the recovered key
+/// misses the KCV (a block miscorrected to a wrong codeword) — the prover
+/// then cannot produce a valid tag and fails closed.
 std::optional<crypto::Sha256Digest> recover_key(
     const BitVec& noisy_response, const puf::ConfigurableEnrollment& enrollment);
 

@@ -23,6 +23,13 @@ constexpr std::size_t kReadChunkBytes = 4096;
 #define MSG_NOSIGNAL 0
 #endif
 
+/// The v1 response a frame carries; any other frame type from the server is
+/// a protocol violation.
+WireResponse response_of(const FrameView& frame) {
+  ROPUF_REQUIRE(frame.type == FrameType::kAuthResponse, "server sent a non-response frame");
+  return decode_response_payload(frame.payload);
+}
+
 }  // namespace
 
 AuthClient::AuthClient(ClientOptions options) : options_(std::move(options)) {
@@ -66,6 +73,7 @@ void AuthClient::close() {
     fd_ = -1;
   }
   in_.clear();
+  consumed_ = 0;
 }
 
 void AuthClient::send_raw(std::string_view bytes) {
@@ -85,6 +93,9 @@ void AuthClient::send_raw(std::string_view bytes) {
 
 bool AuthClient::fill() {
   ROPUF_REQUIRE(fd_ >= 0, "recv on a closed client");
+  // Compact once per read, not once per consumed frame.
+  in_.erase(0, consumed_);
+  consumed_ = 0;
   char chunk[kReadChunkBytes];
   while (true) {
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -98,22 +109,25 @@ bool AuthClient::fill() {
   }
 }
 
-AuthClient::RawFrame AuthClient::recv_frame() {
+std::optional<FrameView> AuthClient::next_frame() {
   while (true) {
-    const ExtractResult extracted = try_extract_frame(in_);
+    const ExtractResult extracted =
+        try_extract_frame(std::string_view(in_).substr(consumed_));
     if (extracted.status == ExtractResult::Status::kDefect) {
       throw WireError(extracted.defect, "defective frame from server");
     }
     if (extracted.status == ExtractResult::Status::kFrame) {
-      RawFrame frame;
-      frame.version = extracted.frame.version;
-      frame.type = extracted.frame.type;
-      frame.payload.assign(extracted.frame.payload);
-      in_.erase(0, extracted.frame.frame_bytes);
-      return frame;
+      consumed_ += extracted.frame.frame_bytes;
+      return extracted.frame;
     }
-    ROPUF_REQUIRE(fill(), "server closed the connection mid-response");
+    if (!fill()) return std::nullopt;
   }
+}
+
+AuthClient::RawFrame AuthClient::recv_frame() {
+  const std::optional<FrameView> frame = next_frame();
+  ROPUF_REQUIRE(frame.has_value(), "server closed the connection mid-response");
+  return RawFrame{frame->version, frame->type, std::string(frame->payload)};
 }
 
 std::uint16_t AuthClient::negotiate() {
@@ -126,55 +140,31 @@ std::uint16_t AuthClient::negotiate() {
     version_ = pinned;
     return version_;
   }
-  if (frame.type == FrameType::kAuthResponse && frame.version == kWireVersion) {
-    // A pre-v2 server saw an unknown frame type and answered kBadFrame:
-    // the fallback signal. Anything else from it is a protocol violation.
-    const WireResponse response = decode_response_payload(frame.payload);
-    ROPUF_REQUIRE(response.status == WireStatus::kBadFrame,
-                  "unexpected response status during negotiation");
-    version_ = kWireVersion;
-    return version_;
-  }
-  ROPUF_REQUIRE(false, "unexpected frame type during negotiation");
+  // A pre-v2 server saw an unknown frame type and answered kBadFrame: the
+  // fallback signal. Anything else from it is a protocol violation.
+  ROPUF_REQUIRE(frame.type == FrameType::kAuthResponse && frame.version == kWireVersion,
+                "unexpected frame type during negotiation");
+  const WireResponse response = decode_response_payload(frame.payload);
+  ROPUF_REQUIRE(response.status == WireStatus::kBadFrame,
+                "unexpected response status during negotiation");
+  version_ = kWireVersion;
+  return version_;
 }
 
 WireResponse AuthClient::recv_response() {
-  while (true) {
-    const ExtractResult extracted = try_extract_frame(in_);
-    if (extracted.status == ExtractResult::Status::kDefect) {
-      throw WireError(extracted.defect, "defective frame from server");
-    }
-    if (extracted.status == ExtractResult::Status::kFrame) {
-      ROPUF_REQUIRE(extracted.frame.type == FrameType::kAuthResponse,
-                    "server sent a non-response frame");
-      const WireResponse response = decode_response_payload(extracted.frame.payload);
-      in_.erase(0, extracted.frame.frame_bytes);
-      return response;
-    }
-    ROPUF_REQUIRE(fill(), "server closed the connection mid-response");
-  }
+  const std::optional<FrameView> frame = next_frame();
+  ROPUF_REQUIRE(frame.has_value(), "server closed the connection mid-response");
+  return response_of(*frame);
 }
 
 std::size_t AuthClient::recv_until_close() {
   std::size_t responses = 0;
-  while (true) {
-    const ExtractResult extracted = try_extract_frame(in_);
-    if (extracted.status == ExtractResult::Status::kDefect) {
-      throw WireError(extracted.defect, "defective frame from server");
-    }
-    if (extracted.status == ExtractResult::Status::kFrame) {
-      ROPUF_REQUIRE(extracted.frame.type == FrameType::kAuthResponse,
-                    "server sent a non-response frame");
-      decode_response_payload(extracted.frame.payload);
-      in_.erase(0, extracted.frame.frame_bytes);
-      ++responses;
-      continue;
-    }
-    if (!fill()) {
-      ROPUF_REQUIRE(in_.empty(), "server closed mid-frame");
-      return responses;
-    }
+  while (const std::optional<FrameView> frame = next_frame()) {
+    response_of(*frame);
+    ++responses;
   }
+  ROPUF_REQUIRE(consumed_ == in_.size(), "server closed mid-frame");
+  return responses;
 }
 
 WireResponse AuthClient::send_request(const service::AuthRequest& request) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,7 @@ class AuthClient {
       : options_(std::move(other.options_)),
         fd_(other.fd_),
         in_(std::move(other.in_)),
+        consumed_(other.consumed_),
         version_(other.version_) {
     other.fd_ = -1;
   }
@@ -117,12 +119,18 @@ class AuthClient {
   void close();
 
  private:
-  /// Blocking read of at least one more byte into in_; false on clean EOF.
+  /// Blocking read of at least one more byte into in_ (compacting the
+  /// consumed prefix first); false on clean EOF.
   bool fill();
+  /// The one read loop: the next complete frame, consumed by offset and
+  /// viewed in place until the next call; nullopt on EOF. Throws WireError
+  /// on a defective frame.
+  std::optional<FrameView> next_frame();
 
   ClientOptions options_;
   int fd_ = -1;
-  std::string in_;  ///< buffered stream bytes not yet consumed
+  std::string in_;  ///< buffered stream bytes; the first consumed_ are spent
+  std::size_t consumed_ = 0;
   std::uint16_t version_ = kWireVersion;  ///< pinned by negotiate()
 };
 

@@ -38,16 +38,6 @@ void set_nonblocking(int fd) {
                 std::string("fcntl(O_NONBLOCK): ") + std::strerror(errno));
 }
 
-bool try_set_reuseport(int fd) {
-#ifdef SO_REUSEPORT
-  const int one = 1;
-  return ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0;
-#else
-  (void)fd;
-  return false;
-#endif
-}
-
 /// Global total plus the shard's own counter when per-shard metrics are on.
 void bump(obs::Counter& global, obs::Counter* per_shard) {
   global.add(1);
@@ -124,76 +114,41 @@ AuthServer::~AuthServer() {
 }
 
 std::uint16_t AuthServer::bind_and_listen() {
-  ROPUF_REQUIRE(shards_[0]->listen_fd < 0, "bind_and_listen() called twice");
+  Shard& acceptor = *shards_[0];
+  ROPUF_REQUIRE(acceptor.listen_fd < 0, "bind_and_listen() called twice");
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ROPUF_REQUIRE(fd >= 0, std::string("socket: ") + std::strerror(errno));
+  acceptor.listen_fd = fd;  // the destructor owns it even if a later step throws
 
-  // Opens one listener, stores the fd in the shard (so the destructor owns
-  // it even if a later step throws), and returns the bound port.
-  const auto open_listener = [this](Shard& shard, std::uint16_t bind_port,
-                                    bool reuseport) -> std::uint16_t {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ROPUF_REQUIRE(fd >= 0, std::string("socket: ") + std::strerror(errno));
-    shard.listen_fd = fd;
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(options_.port);
+  ROPUF_REQUIRE(::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) == 1,
+                "bad bind address '" + options_.bind_address + "'");
+  ROPUF_REQUIRE(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
+                std::string("bind ") + options_.bind_address + ":" +
+                    std::to_string(options_.port) + ": " + std::strerror(errno));
+  ROPUF_REQUIRE(::listen(fd, options_.backlog) == 0,
+                std::string("listen: ") + std::strerror(errno));
+  set_nonblocking(fd);
 
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuseport) {
-      ROPUF_REQUIRE(try_set_reuseport(fd),
-                    std::string("setsockopt(SO_REUSEPORT): ") + std::strerror(errno));
-    }
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  ROPUF_REQUIRE(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0,
+                std::string("getsockname: ") + std::strerror(errno));
+  port_ = ntohs(bound.sin_port);
 
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(bind_port);
-    ROPUF_REQUIRE(
-        ::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) == 1,
-        "bad bind address '" + options_.bind_address + "'");
-    ROPUF_REQUIRE(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0,
-                  std::string("bind ") + options_.bind_address + ":" +
-                      std::to_string(bind_port) + ": " + std::strerror(errno));
-    ROPUF_REQUIRE(::listen(fd, options_.backlog) == 0,
-                  std::string("listen: ") + std::strerror(errno));
-    set_nonblocking(fd);
-
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    ROPUF_REQUIRE(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0,
-                  std::string("getsockname: ") + std::strerror(errno));
-    return ntohs(bound.sin_port);
-  };
-
-  // Resolve the dispatch mode. A single shard always uses one plain
-  // listener with local installs (degenerate round-robin), exactly the
-  // pre-shard server. Multi-shard kAuto probes SO_REUSEPORT with a
-  // throwaway socket and falls back to round-robin handoff; an explicit
-  // kReusePort on a platform without it is a configuration error.
-  bool reuseport = false;
-  if (shards_.size() > 1 && options_.dispatch != DispatchMode::kRoundRobin) {
-    const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
-    ROPUF_REQUIRE(probe >= 0, std::string("socket: ") + std::strerror(errno));
-    reuseport = try_set_reuseport(probe);
-    ::close(probe);
-    ROPUF_REQUIRE(reuseport || options_.dispatch == DispatchMode::kAuto,
-                  "dispatch=reuseport requested but SO_REUSEPORT is unavailable");
-  }
-  dispatch_ = reuseport ? DispatchMode::kReusePort : DispatchMode::kRoundRobin;
-
-  // Shard 0 binds first and resolves an ephemeral port request; the other
-  // shards then share that port (reuseport) or that listener (round-robin).
-  port_ = open_listener(*shards_[0], options_.port, reuseport);
-  if (reuseport) {
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      open_listener(*shards_[s], port_, true);
-    }
-  } else {
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      int pipe_fds[2] = {-1, -1};
-      ROPUF_REQUIRE(::pipe(pipe_fds) == 0,
-                    std::string("pipe: ") + std::strerror(errno));
-      shards_[s]->wake_read_fd = pipe_fds[0];
-      shards_[s]->wake_write_fd = pipe_fds[1];
-      set_nonblocking(pipe_fds[0]);
-      set_nonblocking(pipe_fds[1]);
-    }
+  // Shard 0 accepts for everyone and hands fds to the other shards through
+  // their wake pipes.
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    int pipe_fds[2] = {-1, -1};
+    ROPUF_REQUIRE(::pipe(pipe_fds) == 0, std::string("pipe: ") + std::strerror(errno));
+    shards_[s]->wake_read_fd = pipe_fds[0];
+    shards_[s]->wake_write_fd = pipe_fds[1];
+    set_nonblocking(pipe_fds[0]);
+    set_nonblocking(pipe_fds[1]);
   }
   return port_;
 }
@@ -234,6 +189,8 @@ void AuthServer::adopt_fd(Shard& shard, int fd) {
 void AuthServer::accept_ready(Shard& shard) {
   static obs::Counter& backoffs =
       obs::Registry::instance().counter("net.accept_backoffs");
+  static obs::Counter& handoffs =
+      obs::Registry::instance().counter("net.shard_handoffs");
   while (true) {
     const int fd = ::accept(shard.listen_fd, nullptr, nullptr);
     if (fd < 0) {
@@ -249,28 +206,6 @@ void AuthServer::accept_ready(Shard& shard) {
             std::chrono::milliseconds(options_.accept_backoff_ms);
       }
       return;  // EAGAIN/EWOULDBLOCK or transient failure: next sweep
-    }
-    adopt_fd(shard, fd);
-  }
-}
-
-void AuthServer::accept_dispatch(Shard& shard) {
-  static obs::Counter& backoffs =
-      obs::Registry::instance().counter("net.accept_backoffs");
-  static obs::Counter& handoffs =
-      obs::Registry::instance().counter("net.shard_handoffs");
-  while (true) {
-    const int fd = ::accept(shard.listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        backoffs.add(1);
-        shard.accept_backoff_until =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(options_.accept_backoff_ms);
-      }
-      return;
     }
     const std::size_t target = round_robin_next_++ % shards_.size();
     if (target == shard.index) {
@@ -304,7 +239,7 @@ void AuthServer::adopt_handoff(Shard& shard) {
 }
 
 void AuthServer::enqueue_frame(Shard& shard, std::size_t index,
-                               std::string frame_bytes) {
+                               std::string_view frame_bytes) {
   static obs::Counter& frames_out = obs::Registry::instance().counter("net.frames_out");
   static obs::Counter& slow_closes =
       obs::Registry::instance().counter("net.slow_consumer_closes");
@@ -320,24 +255,6 @@ void AuthServer::enqueue_frame(Shard& shard, std::size_t index,
   }
 }
 
-void AuthServer::enqueue_response(Shard& shard, std::size_t index,
-                                  const WireResponse& response) {
-  enqueue_frame(shard, index, encode_response_frame(response));
-}
-
-void AuthServer::enqueue_immediate(Shard& shard, std::size_t index,
-                                   const WireResponse& response) {
-  // Answers the loop produces itself must not jump ahead of verdicts for
-  // requests that arrived earlier on the same connection: the wire carries
-  // no request ids, so per-connection response order IS the attribution.
-  // Pre-resolved entries drain through the same queue as everything else.
-  PendingEntry entry;
-  entry.connection = index;
-  entry.resolved = true;
-  entry.response = response;
-  shard.pending.push_back(std::move(entry));
-}
-
 void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& frame) {
   static obs::Counter& frames_in = obs::Registry::instance().counter("net.frames_in");
   static obs::Counter& bad_frames =
@@ -349,56 +266,67 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
   static obs::Counter& hellos = obs::Registry::instance().counter("net.hellos");
   static obs::Counter& challenges =
       obs::Registry::instance().counter("net.challenges_issued");
-  static obs::Counter& proofs =
-      obs::Registry::instance().counter("net.proofs_verified");
   static obs::Counter& replays =
       obs::Registry::instance().counter("net.replays_rejected");
   bump(frames_in, shard.metrics.frames_in);
   Connection& connection = shard.connections[index];
 
+  // Every answer, whoever produces it, queues behind the answers owed to
+  // earlier frames: per-connection answer order is frame-arrival order.
+  const auto answer = [&](std::string frame_bytes) {
+    shard.pending.push_back(PendingEntry{index, std::move(frame_bytes)});
+  };
+  const auto bad_frame = [&](std::string frame_bytes) {
+    bad_frames.add(1);
+    answer(std::move(frame_bytes));
+  };
+  const auto verify_later = [&](auto work) {
+    shard.pending.push_back(PendingEntry{index, std::move(work)});
+    ++shard.pending_unverified;
+    bump(enqueued, shard.metrics.enqueued);
+  };
+  const WireResponse bad{WireStatus::kBadFrame, 0, 0};
+  const WireResponse overloaded{WireStatus::kOverloaded, 0, 0};
+  const bool full = shard.pending_unverified >= options_.max_pending;
+
   if (frame.type == FrameType::kClientHello) {
-    // Capability negotiation: pin min(advertised, ours) and answer. The
-    // reply writes straight to the buffer — a hello precedes the requests
-    // whose answers it could otherwise jump.
+    // Capability negotiation: pin min(advertised, ours) and answer.
     std::uint16_t advertised = 0;
     try {
       advertised = decode_hello_payload(frame.payload);
     } catch (const WireError&) {
-      bad_frames.add(1);
-      enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
+      bad_frame(encode_response_frame(bad));
       return;
     }
     connection.version = std::min(advertised, kWireMaxVersion);
     hellos.add(1);
-    enqueue_frame(shard, index, encode_server_hello(connection.version));
+    answer(encode_server_hello(connection.version));
     return;
   }
 
-  if (frame.type == FrameType::kAuthRequest && frame.version == kWireVersionV2) {
+  const bool v2_request =
+      frame.type == FrameType::kAuthRequest && frame.version == kWireVersionV2;
+  if ((v2_request || frame.type == FrameType::kAuthProof) &&
+      connection.version != kWireVersionV2) {
+    bad_frame(encode_response_frame(bad));
+    return;
+  }
+
+  if (v2_request) {
     // v2 request: remember the session and answer with a fresh challenge.
-    // The challenge bypasses both the pending queue (the request id carries
-    // the attribution) and admission (v2's defense is cryptographic — a
+    // Admission does not apply (v2's defense is cryptographic — a
     // challenge is cheap and a harvested transcript is worthless).
-    if (connection.version != kWireVersionV2) {
-      bad_frames.add(1);
-      enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
-      return;
-    }
     V2Request request;
     try {
       request = decode_request_payload_v2(frame.payload);
     } catch (const WireError&) {
       // No request id survived the decode; 0 marks an unattributable answer.
-      bad_frames.add(1);
-      enqueue_frame(shard, index,
-                    encode_response_frame_v2(0, WireResponse{WireStatus::kBadFrame, 0, 0}));
+      bad_frame(encode_response_frame_v2(0, bad));
       return;
     }
     if (connection.sessions.size() >= options_.max_sessions) {
       overloads.add(1);
-      enqueue_frame(shard, index,
-                    encode_response_frame_v2(
-                        request.request_id, WireResponse{WireStatus::kOverloaded, 0, 0}));
+      answer(encode_response_frame_v2(request.request_id, overloaded));
       return;
     }
     const auth::Nonce nonce =
@@ -408,23 +336,16 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
     connection.sessions[request.request_id] =
         PendingChallenge{request.device_id, nonce};
     challenges.add(1);
-    enqueue_frame(shard, index, encode_challenge_frame(request.request_id, nonce));
+    answer(encode_challenge_frame(request.request_id, nonce));
     return;
   }
 
   if (frame.type == FrameType::kAuthProof) {
-    if (connection.version != kWireVersionV2) {
-      bad_frames.add(1);
-      enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
-      return;
-    }
     ProofPayload proof;
     try {
       proof = decode_proof_payload(frame.payload);
     } catch (const WireError&) {
-      bad_frames.add(1);
-      enqueue_frame(shard, index,
-                    encode_response_frame_v2(0, WireResponse{WireStatus::kBadFrame, 0, 0}));
+      bad_frame(encode_response_frame_v2(0, bad));
       return;
     }
     const auto session = connection.sessions.find(proof.request_id);
@@ -432,9 +353,8 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
       // No outstanding challenge for this id: a replayed or fabricated
       // proof. The nonce it was computed over is gone, so reject.
       replays.add(1);
-      enqueue_frame(shard, index,
-                    encode_response_frame_v2(proof.request_id,
-                                             WireResponse{WireStatus::kReject, 0, 0}));
+      answer(encode_response_frame_v2(proof.request_id,
+                                      WireResponse{WireStatus::kReject, 0, 0}));
       return;
     }
     service::ProofRequest request;
@@ -443,13 +363,14 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
     request.nonce = session->second.nonce;
     request.tag = proof.tag;
     // Consume the session before judging: even a valid proof verifies at
-    // most once per challenge.
+    // most once per challenge, and a refused one must start over.
     connection.sessions.erase(session);
-    const service::AuthVerdict verdict = service_->verify_proof(request);
-    proofs.add(1);
-    shard.requests_served += 1;
-    enqueue_frame(shard, index,
-                  encode_response_frame_v2(proof.request_id, wire_response(verdict)));
+    if (full) {
+      overloads.add(1);
+      answer(encode_response_frame_v2(request.request_id, overloaded));
+      return;
+    }
+    verify_later(request);
     return;
   }
 
@@ -457,29 +378,22 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
     // A response/challenge/server-hello frame arriving at the server is
     // well-formed but nonsensical; answer and keep the (still framed)
     // connection.
-    bad_frames.add(1);
-    enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
+    bad_frame(encode_response_frame(bad));
     return;
   }
   service::AuthRequest request;
   try {
     request = decode_request_payload(frame.payload);
   } catch (const WireError&) {
-    bad_frames.add(1);
-    enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
+    bad_frame(encode_response_frame(bad));
     return;
   }
-  if (shard.pending_unresolved >= options_.max_pending) {
+  if (full) {
     overloads.add(1);
-    enqueue_immediate(shard, index, WireResponse{WireStatus::kOverloaded, 0, 0});
+    answer(encode_response_frame(overloaded));
     return;
   }
-  PendingEntry entry;
-  entry.connection = index;
-  entry.request = std::move(request);
-  shard.pending.push_back(std::move(entry));
-  ++shard.pending_unresolved;
-  bump(enqueued, shard.metrics.enqueued);
+  verify_later(std::move(request));
 }
 
 void AuthServer::service_readable(Shard& shard, std::size_t index) {
@@ -508,62 +422,88 @@ void AuthServer::service_readable(Shard& shard, std::size_t index) {
     return;
   }
 
-  while (connection.alive) {
-    const ExtractResult extracted = try_extract_frame(connection.in);
+  // Walk the buffer by offset and compact once: erasing per frame would
+  // shift the whole remaining buffer for every pipelined frame.
+  std::size_t consumed = 0;
+  while (true) {
+    const ExtractResult extracted =
+        try_extract_frame(std::string_view(connection.in).substr(consumed));
     if (extracted.status == ExtractResult::Status::kNeedMore) break;
     if (extracted.status == ExtractResult::Status::kDefect) {
       frame_errors.add(1);
-      enqueue_immediate(shard, index, WireResponse{WireStatus::kBadFrame, 0, 0});
+      shard.pending.push_back(PendingEntry{
+          index, encode_response_frame(WireResponse{WireStatus::kBadFrame, 0, 0})});
       if (frame_defect_is_fatal(extracted.defect)) {
         // Stream framing is lost: the buffered bytes are untrustworthy and
         // the only clean exit is answering, flushing and closing.
-        connection.in.clear();
+        consumed = connection.in.size();
         connection.close_after_flush = true;
         break;
       }
-      connection.in.erase(0, extracted.consume);
+      consumed += extracted.consume;
       continue;
     }
     handle_frame(shard, index, extracted.frame);
-    connection.in.erase(0, extracted.frame.frame_bytes);
+    consumed += extracted.frame.frame_bytes;
   }
+  connection.in.erase(0, consumed);
 }
 
 void AuthServer::drain_pending(Shard& shard) {
   if (shard.pending.empty()) return;
   static obs::Counter& batches = obs::Registry::instance().counter("net.batches");
+  static obs::Counter& proofs_verified =
+      obs::Registry::instance().counter("net.proofs_verified");
   static obs::Histogram& queue_depth =
       obs::Registry::instance().histogram("net.queue_depth", queue_depth_bounds());
   static obs::Histogram& batch_us =
       obs::Registry::instance().latency_histogram("net.batch_us");
   queue_depth.record(static_cast<double>(shard.pending.size()));
   const obs::TraceSpan span("net.drain");
+  std::vector<service::AuthRequest> requests;
+  std::vector<service::ProofRequest> proofs;
   while (!shard.pending.empty()) {
-    // Take a front run holding at most max_batch unverified requests;
-    // pre-resolved answers (kBadFrame/kOverloaded) ride along so every
-    // response leaves in the order its frame arrived.
-    std::vector<PendingEntry> entries;
-    std::vector<service::AuthRequest> requests;
-    while (!shard.pending.empty() && requests.size() < options_.max_batch) {
-      entries.push_back(std::move(shard.pending.front()));
-      shard.pending.pop_front();
-      if (!entries.back().resolved) {
-        requests.push_back(std::move(entries.back().request));
-        --shard.pending_unresolved;
+    // Take a front run holding at most max_batch unverified entries; the
+    // encoded answers between them ride along, so every answer leaves in
+    // the order its frame arrived.
+    requests.clear();
+    proofs.clear();
+    std::size_t run = 0;
+    while (run < shard.pending.size() &&
+           requests.size() + proofs.size() < options_.max_batch) {
+      auto& work = shard.pending[run++].work;
+      if (auto* request = std::get_if<service::AuthRequest>(&work)) {
+        requests.push_back(std::move(*request));
+      } else if (const auto* proof = std::get_if<service::ProofRequest>(&work)) {
+        proofs.push_back(*proof);
       }
     }
     std::vector<service::AuthVerdict> verdicts;
-    if (!requests.empty()) {
+    std::vector<service::AuthVerdict> proof_verdicts;
+    if (!requests.empty() || !proofs.empty()) {
       bump(batches, shard.metrics.batches);
       const obs::ScopedLatency batch_timer(batch_us);
-      verdicts = service_->verify_batch(requests);
-      shard.requests_served += verdicts.size();
+      if (!requests.empty()) verdicts = service_->verify_batch(requests);
+      if (!proofs.empty()) proof_verdicts = service_->verify_proof_batch(proofs);
+      shard.pending_unverified -= requests.size() + proofs.size();
+      shard.requests_served += requests.size() + proofs.size();
+      proofs_verified.add(proofs.size());
     }
     std::size_t next_verdict = 0;
-    for (const PendingEntry& entry : entries) {
-      const WireResponse response =
-          entry.resolved ? entry.response : wire_response(verdicts[next_verdict++]);
-      enqueue_response(shard, entry.connection, response);
+    std::size_t next_proof = 0;
+    for (std::size_t written = 0; written < run; ++written) {
+      const PendingEntry& entry = shard.pending.front();
+      if (const auto* bytes = std::get_if<std::string>(&entry.work)) {
+        enqueue_frame(shard, entry.connection, *bytes);
+      } else if (const auto* proof = std::get_if<service::ProofRequest>(&entry.work)) {
+        const WireResponse response = wire_response(proof_verdicts[next_proof++]);
+        enqueue_frame(shard, entry.connection,
+                      encode_response_frame_v2(proof->request_id, response));
+      } else {
+        enqueue_frame(shard, entry.connection,
+                      encode_response_frame(wire_response(verdicts[next_verdict++])));
+      }
+      shard.pending.pop_front();
     }
   }
 }
@@ -649,8 +589,6 @@ void AuthServer::apply_pending_reloads() {
 }
 
 void AuthServer::run_shard(Shard& shard) {
-  const bool round_robin_acceptor =
-      dispatch_ == DispatchMode::kRoundRobin && shards_.size() > 1 && shard.index == 0;
   bool draining = false;
   std::chrono::steady_clock::time_point drain_began;
 
@@ -716,11 +654,7 @@ void AuthServer::run_shard(Shard& shard) {
     for (std::size_t slot = 0; slot < fds.size(); ++slot) {
       if (fds[slot].revents == 0) continue;
       if (fd_owner[slot] == kListenerSlot) {
-        if (round_robin_acceptor) {
-          accept_dispatch(shard);
-        } else {
-          accept_ready(shard);
-        }
+        accept_ready(shard);
         continue;
       }
       if (fd_owner[slot] == kWakeSlot) {
@@ -751,12 +685,12 @@ void AuthServer::run() {
   ROPUF_REQUIRE(shards_[0]->listen_fd >= 0, "run() called before bind_and_listen()");
   if (shards_.size() == 1) {
     run_shard(*shards_[0]);
-    requests_served_ = shards_[0]->requests_served;
+    requests_served_.store(shards_[0]->requests_served, std::memory_order_relaxed);
     return;
   }
 
   // Shards 1..N-1 get their own reactor threads; the calling thread drives
-  // shard 0 (in round-robin mode, the acceptor). A shard that throws takes
+  // shard 0, the acceptor. A shard that throws takes
   // the whole server down gracefully: it requests stop so its siblings
   // drain and join, then the first exception rethrows out of run().
   std::vector<std::exception_ptr> errors(shards_.size());
@@ -780,10 +714,9 @@ void AuthServer::run() {
   }
   for (std::thread& thread : threads) thread.join();
 
-  requests_served_ = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    requests_served_ += shard->requests_served;
-  }
+  std::uint64_t served = 0;
+  for (const std::unique_ptr<Shard>& shard : shards_) served += shard->requests_served;
+  requests_served_.store(served, std::memory_order_relaxed);
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }

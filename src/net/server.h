@@ -1,52 +1,44 @@
 // Online authentication server: N sharded poll() event loops ("reactors")
 // in front of service::AuthService (see docs/serving.md).
 //
-// Each shard is the PR-5 single-threaded loop, verbatim in behavior: it
-// owns its connections, read/write buffers, bounded pending queue and
-// accept backoff, and never blocks on any one socket. Sockets are
-// non-blocking, reads buffer into per-connection byte streams, and complete
-// frames (net/wire.h) are decoded as they arrive. Ready requests collect
-// into a *bounded* per-shard pending queue; once per sweep the queue drains
-// through AuthService::verify_batch on the deterministic parallel pool, so
-// the verdicts a connection receives are bit-identical to an offline batch
-// over the same requests — at any thread budget and any shard count
-// (connections never migrate between shards, so each connection's request
-// stream is one shard's arrival order).
+// Each shard is one single-threaded loop: it owns its connections,
+// read/write buffers, bounded pending queue and accept backoff, and never
+// blocks on any one socket. Sockets are non-blocking, reads buffer into
+// per-connection byte streams, and complete frames (net/wire.h) are decoded
+// as they arrive.
 //
-// shards == 1 (the default) is exactly the PR-5 server: one loop, one plain
-// listener, no threads, no SO_REUSEPORT. shards > 1 spawns one reactor
-// thread per shard and distributes connections one of two ways:
-//  * kReusePort — every shard binds its own SO_REUSEPORT listener on the
-//    same address; the kernel's 4-tuple hash spreads incoming connections
-//    across the listeners with no cross-thread handoff at all.
-//  * kRoundRobin — one listener owned by shard 0, which accepts and hands
-//    each new fd to shard (next++ % shards) through a mutex-protected
-//    handoff vector plus a self-pipe wakeup. The fallback for stacks
-//    without SO_REUSEPORT, and the deterministic choice for tests.
-//  * kAuto resolves to kReusePort when the platform supports it, else
-//    kRoundRobin. bind_and_listen() reports the resolved mode.
-// Either way ALL listeners are bound and listening when bind_and_listen()
+// Every frame takes one route. Decoding it updates the connection's state
+// (version pin, v2 session map) and queues one pending entry per answer
+// owed: the answer itself, already encoded (hello reply, v2 challenge,
+// kBadFrame, kOverloaded, replay reject), or a v1 request or v2 proof to
+// verify. Once per sweep the shard drains its queue: each front run of at
+// most max_batch unverified entries goes through one
+// AuthService::verify_batch call and one verify_proof_batch call on the
+// deterministic parallel pool, then every answer in the run is written in
+// frame-arrival order. That is the one ordering rule — a connection's
+// answers leave in the order its frames arrived — so a v1 answer N always
+// pairs with request N although the wire carries no request ids. Verdicts
+// are bit-identical to an offline batch over the same requests at any
+// thread budget and any shard count (connections never migrate between
+// shards, so each connection's stream is one shard's arrival order).
+//
+// shards == 1 (the default) is one loop on the calling thread, no extra
+// threads. shards > 1 spawns one reactor thread per further shard. Shard 0
+// owns the only listener: it accepts and deals each new fd round-robin
+// (next++ % shards), installing its own turns locally and handing the rest
+// over through the owner's mutex-protected handoff vector plus a self-pipe
+// wakeup. The listener is bound and listening when bind_and_listen()
 // returns, so a port-file handshake written after it cannot race a
 // connection against a half-started server.
 //
-// Responses leave each v1 connection in request arrival order, with no
-// request ids on the wire: answer N pairs with request N, always.
-// Degradation answers the loop produces itself (kBadFrame, kOverloaded)
-// therefore do NOT jump the queue — they enter the owning shard's pending
-// queue as pre-resolved entries and drain in sequence with the verdicts
-// around them, so a pipelining client can never misattribute an answer.
-//
-// Protocol v2 (docs/protocol_v2.md) rides the same loop. A kClientHello
-// pins the connection's version; v2 requests carry request ids, so their
-// challenge/response traffic bypasses the arrival-order pending queue and
-// completes in proof-arrival order — the request id, not the position,
-// attributes the answer. Each connection keeps a bounded session map of
-// outstanding challenges (max_sessions; past it a v2 request answers
-// kOverloaded), a proof consumes its session on arrival (a replayed proof
-// finds no session and answers kReject), and verification itself is
-// AuthService::verify_proof — pure HMAC recomputation, no admission
-// counters, so the verdict for a given (device, nonce, tag) triple is
-// bit-identical at any shard count and thread budget.
+// Protocol v2 (docs/protocol_v2.md) rides the same route. A kClientHello
+// pins the connection's version. Each connection keeps a bounded session
+// map of outstanding challenges (max_sessions; past it a v2 request answers
+// kOverloaded with its request id), and a proof consumes its session on
+// arrival (a replayed proof finds no session and answers kReject).
+// Verification is pure HMAC recomputation with no admission counters, so
+// the verdict for a given (device, nonce, tag) triple is bit-identical at
+// any shard count and thread budget.
 //
 // Admission stays device-sticky under sharding: AuthService partitions its
 // per-device admission states by device-id hash (admission_shards), NOT by
@@ -59,13 +51,14 @@
 //    defects (bad CRC, bad type, bad payload) answer kBadFrame and keep
 //    the connection; fatal ones (bad magic/version/oversized length) answer
 //    kBadFrame and close, because stream framing is lost.
-//  * The pending queue is bounded: past max_pending unverified requests the
-//    shard answers kOverloaded immediately (reject-with-status
-//    backpressure) instead of buffering without bound. Write buffers are
-//    bounded too — a peer that stops reading its responses is closed as a
-//    slow consumer. Reads are bounded *per sweep* (max_read_per_sweep), so
-//    one fast talker can neither grow its input buffer without limit nor
-//    starve the other connections out of its shard's loop.
+//  * The pending queue is bounded: past max_pending unverified requests and
+//    proofs the shard answers kOverloaded (reject-with-status backpressure;
+//    a refused proof has consumed its session and names its request id)
+//    instead of buffering without bound. Write buffers are bounded too —
+//    a peer that stops reading its responses is closed as a slow consumer.
+//    Reads are bounded *per sweep* (max_read_per_sweep), so one fast
+//    talker can neither grow its input buffer without limit nor starve the
+//    other connections out of its shard's loop.
 //  * max_connections splits evenly across shards; a shard at its share
 //    closes new arrivals immediately rather than queueing them.
 //  * Idle connections past the read deadline are closed.
@@ -91,7 +84,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "auth/auth.h"
@@ -104,13 +99,6 @@ class Counter;
 
 namespace ropuf::net {
 
-/// How a multi-shard server spreads incoming connections over its reactors.
-enum class DispatchMode {
-  kAuto,       ///< kReusePort when available, else kRoundRobin
-  kReusePort,  ///< per-shard SO_REUSEPORT listeners, kernel balancing
-  kRoundRobin  ///< shard 0 accepts, hands fds round-robin via self-pipe
-};
-
 struct ServerOptions {
   /// Loopback by default: exposing a verifier beyond localhost is a
   /// deployment decision the operator makes explicitly.
@@ -118,10 +106,11 @@ struct ServerOptions {
   std::uint16_t port = 0;  ///< 0 = kernel-assigned ephemeral port
   int backlog = 64;
   std::size_t max_connections = 256;
-  /// Bounded pending-request queue *per shard*; requests past this answer
-  /// kOverloaded.
+  /// Bounded pending queue *per shard*: v1 requests and v2 proofs past
+  /// this many awaiting verification answer kOverloaded.
   std::size_t max_pending = 1024;
-  /// Requests per verify_batch call when draining a shard's queue.
+  /// Requests plus proofs verified per drain step (one verify_batch and one
+  /// verify_proof_batch call) when draining a shard's queue.
   std::size_t max_batch = 256;
   /// Per-connection write-buffer bound; a slower consumer is closed.
   std::size_t max_write_buffer = 1u << 20;
@@ -147,10 +136,8 @@ struct ServerOptions {
   /// Outstanding v2 challenges per connection; a v2 request past this
   /// answers kOverloaded (the v2 analogue of the pending-queue bound).
   std::size_t max_sessions = 1024;
-  /// Reactor shards. 1 = the single-threaded PR-5 loop, no extra threads.
+  /// Reactor shards. 1 = one loop on the calling thread, no extra threads.
   std::size_t shards = 1;
-  /// Connection dispatch across shards; ignored when shards == 1.
-  DispatchMode dispatch = DispatchMode::kAuto;
 };
 
 /// The sharded event loop. Construction does not touch the network;
@@ -166,21 +153,17 @@ class AuthServer {
   AuthServer(const AuthServer&) = delete;
   AuthServer& operator=(const AuthServer&) = delete;
 
-  /// Binds and listens on every shard; returns the bound port (resolves
-  /// port 0 — all shards share it). Throws ropuf::Error on any socket
-  /// failure. When this returns, every listener accepts connections, so a
-  /// readiness handshake (e.g. --port-file) written afterwards is sound at
-  /// any shard count.
+  /// Binds and listens (shard 0's listener; the handoff pipes of the other
+  /// shards); returns the bound port (resolves port 0). Throws ropuf::Error
+  /// on any socket failure. When this returns, the listener accepts
+  /// connections, so a readiness handshake (e.g. --port-file) written
+  /// afterwards is sound at any shard count.
   std::uint16_t bind_and_listen();
 
   /// The bound port; 0 before bind_and_listen().
   std::uint16_t port() const { return port_; }
 
   std::size_t shard_count() const { return shards_.size(); }
-
-  /// The dispatch mode actually in effect (kAuto resolved); meaningful
-  /// after bind_and_listen().
-  DispatchMode dispatch() const { return dispatch_; }
 
   /// Serves until request_stop(), then drains every shard gracefully and
   /// returns.
@@ -212,9 +195,12 @@ class AuthServer {
     return reloads_applied_.load(std::memory_order_relaxed);
   }
 
-  /// Requests served over the server's lifetime (including degraded
-  /// answers), summed across shards. Read after run() returned.
-  std::uint64_t requests_served() const { return requests_served_; }
+  /// Requests and proofs verified over the server's lifetime, summed
+  /// across shards; published when run() returns (0 before). Safe to read
+  /// from any thread.
+  std::uint64_t requests_served() const {
+    return requests_served_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One outstanding v2 challenge: what the server must remember between
@@ -237,15 +223,12 @@ class AuthServer {
     /// max_sessions. A proof consumes its entry — replays find nothing.
     std::unordered_map<std::uint64_t, PendingChallenge> sessions;
   };
-  /// One slot in the per-arrival-order answer sequence. Most entries carry
-  /// a request awaiting verification; entries the loop answered itself
-  /// (kBadFrame, kOverloaded) carry the pre-resolved response instead, so
-  /// drain_pending can emit every answer in the order its frame arrived.
+  /// One answer owed, in frame-arrival order: the answer's encoded bytes
+  /// when the loop produced it itself, else the v1 request or v2 proof
+  /// whose verdict drain_pending encodes.
   struct PendingEntry {
     std::size_t connection;  ///< index into the owning shard's connections
-    bool resolved = false;   ///< true: `response` is the answer already
-    WireResponse response;
-    service::AuthRequest request;
+    std::variant<std::string, service::AuthRequest, service::ProofRequest> work;
   };
   /// Per-shard counters ("net.shard<i>.*"); resolved once at construction
   /// when shards > 1, null in single-shard servers so the hot path pays
@@ -261,21 +244,21 @@ class AuthServer {
   };
   /// Everything one reactor thread owns. No state in here is ever touched
   /// by another shard's thread, with one exception: the handoff vector
-  /// (mutex-protected) and its wake pipe, which round-robin dispatch uses
-  /// to pass freshly accepted fds from shard 0 to their owner.
+  /// (mutex-protected) and its wake pipe, through which shard 0 passes
+  /// freshly accepted fds to their owner.
   struct Shard {
     std::size_t index = 0;
-    int listen_fd = -1;  ///< own listener; -1 for round-robin shards > 0
+    int listen_fd = -1;  ///< shard 0's listener; -1 for the other shards
     std::size_t max_connections = 0;  ///< this shard's share of the cap
     std::vector<Connection> connections;
     std::deque<PendingEntry> pending;
     /// Unverified entries in pending (the max_pending backpressure bound
-    /// counts verification work, not pre-resolved answers riding along).
-    std::size_t pending_unresolved = 0;
+    /// counts verification work, not encoded answers riding along).
+    std::size_t pending_unverified = 0;
     /// Listener poll resumes after this instant (accept_backoff_ms).
     std::chrono::steady_clock::time_point accept_backoff_until{};
     std::uint64_t requests_served = 0;
-    /// Round-robin handoff: shard 0 deposits accepted fds under the mutex
+    /// Connection handoff: shard 0 deposits accepted fds under the mutex
     /// and writes one byte to the pipe so the owner's poll() wakes now
     /// rather than at the next timeout.
     std::mutex handoff_mutex;
@@ -285,32 +268,25 @@ class AuthServer {
     ShardMetrics metrics;
   };
 
-  /// Accepts on `shard`'s own listener and installs locally (single-shard
-  /// and reuseport modes).
+  /// Shard 0: accepts and deals each fd to the next shard in rotation
+  /// (installing locally when it is its own turn).
   void accept_ready(Shard& shard);
-  /// Shard 0, round-robin mode: accepts and hands each fd to the next
-  /// shard in rotation (installing locally when it is its own turn).
-  void accept_dispatch(Shard& shard);
   /// Installs one accepted fd into a connection slot, enforcing the
   /// shard's connection share.
   void adopt_fd(Shard& shard, int fd);
   /// Drains the wake pipe and adopts every handed-off fd.
   void adopt_handoff(Shard& shard);
   /// Reads everything available (up to max_read_per_sweep), extracts
-  /// frames, enqueues/answers.
+  /// frames and queues their answers; compacts the input buffer once.
   void service_readable(Shard& shard, std::size_t index);
-  /// Decodes one frame into the pending queue or a pre-resolved answer.
+  /// Decodes one frame, updates the connection's state and queues the
+  /// answer it owes. Never verifies and never writes.
   void handle_frame(Shard& shard, std::size_t index, const FrameView& frame);
   /// Appends already-encoded frame bytes to a connection's write buffer,
-  /// enforcing the slow-consumer bound. The v2 paths (hello replies,
-  /// challenges, out-of-order v2 responses) write through here directly;
-  /// the v1 response path layers arrival-order queueing on top.
-  void enqueue_frame(Shard& shard, std::size_t index, std::string frame_bytes);
-  void enqueue_response(Shard& shard, std::size_t index, const WireResponse& response);
-  /// Queues an answer the loop produced itself, in arrival order.
-  void enqueue_immediate(Shard& shard, std::size_t index, const WireResponse& response);
-  /// Drains the shard's pending queue through verify_batch, max_batch at a
-  /// time, emitting responses in arrival order.
+  /// enforcing the slow-consumer bound.
+  void enqueue_frame(Shard& shard, std::size_t index, std::string_view frame_bytes);
+  /// Drains the shard's pending queue, max_batch unverified entries at a
+  /// time, writing every answer in frame-arrival order.
   void drain_pending(Shard& shard);
   void flush_writable(Shard& shard, std::size_t index);
   void close_connection(Shard& shard, std::size_t index);
@@ -318,14 +294,13 @@ class AuthServer {
   bool draining_complete(const Shard& shard) const;
   /// Shard 0 only: applies coalesced reload requests (runs the handler).
   void apply_pending_reloads();
-  /// One reactor: the PR-5 event loop over this shard's fds.
+  /// One reactor: the event loop over this shard's fds.
   void run_shard(Shard& shard);
 
   const service::AuthService* service_;
   ServerOptions options_;
   /// v2 challenge nonces; thread-safe, shared by all shards.
   auth::NonceFactory nonce_factory_;
-  DispatchMode dispatch_ = DispatchMode::kAuto;  ///< resolved by bind_and_listen
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
@@ -333,7 +308,7 @@ class AuthServer {
   std::atomic<std::uint64_t> reloads_applied_{0};
   std::function<void()> reload_handler_;  ///< set before run(), shard 0 runs it
   std::size_t round_robin_next_ = 0;  ///< only shard 0's thread touches this
-  std::uint64_t requests_served_ = 0;
+  std::atomic<std::uint64_t> requests_served_{0};
 };
 
 }  // namespace ropuf::net

@@ -268,64 +268,74 @@ EnrollmentCache::Entry AuthService::resolve_lookup(
   return looked_up;
 }
 
-AuthVerdict AuthService::verify_pinned(const registry::RegistrySnapshot& snapshot,
-                                       const AuthRequest& request) const {
+template <typename Judge>
+AuthVerdict AuthService::verify_resolved(const registry::RegistrySnapshot& snapshot,
+                                         std::uint64_t device_id,
+                                         std::size_t degraded_bits,
+                                         const Judge& judge) const {
   static obs::Counter& requests = obs::Registry::instance().counter("service.requests");
-  static obs::Counter& accepted = obs::Registry::instance().counter("service.accepted");
-  static obs::Counter& rejected = obs::Registry::instance().counter("service.rejected");
-  static obs::Counter& unknown =
-      obs::Registry::instance().counter("service.unknown_device");
-  static obs::Counter& corrupt =
-      obs::Registry::instance().counter("service.corrupt_record");
-  static obs::Counter& malformed =
-      obs::Registry::instance().counter("service.malformed");
+  // Indexed by AuthStatus; a verify step returns only these five statuses
+  // (admission denials are decided and counted before verification).
+  static obs::Counter* const by_status[] = {
+      &obs::Registry::instance().counter("service.accepted"),
+      &obs::Registry::instance().counter("service.rejected"),
+      &obs::Registry::instance().counter("service.unknown_device"),
+      &obs::Registry::instance().counter("service.corrupt_record"),
+      &obs::Registry::instance().counter("service.malformed")};
   static obs::Histogram& verify_us =
       obs::Registry::instance().latency_histogram("service.verify_us");
   requests.add(1);
   const obs::ScopedLatency verify_timer(verify_us);
 
-  const EnrollmentCache::Entry looked_up =
-      resolve_lookup(snapshot, request.device_id);
+  const EnrollmentCache::Entry looked_up = resolve_lookup(snapshot, device_id);
+  AuthVerdict verdict{AuthStatus::kUnknownDevice, 0, degraded_bits};
   switch (looked_up->outcome) {
     case CachedLookup::Outcome::kUnknownDevice:
-      unknown.add(1);
-      return AuthVerdict{AuthStatus::kUnknownDevice, 0, options_.response_bits};
+      break;
     case CachedLookup::Outcome::kCorruptRecord:
-      corrupt.add(1);
-      return AuthVerdict{AuthStatus::kCorruptRecord, 0, options_.response_bits};
+      verdict.status = AuthStatus::kCorruptRecord;
+      break;
     case CachedLookup::Outcome::kEnrolled:
+      verdict = judge(*looked_up);
       break;
   }
-  const puf::ConfigurableEnrollment& enrollment = *looked_up->enrollment;
-
-  const std::size_t bits =
-      std::min(options_.response_bits, enrollment.layout.pair_count);
-  if (request.response.size() != bits) {
-    malformed.add(1);
-    return AuthVerdict{AuthStatus::kMalformedRequest, 0, bits};
-  }
-  const puf::CrpOracle oracle(&enrollment, bits);
-  const BitVec reference = oracle.reference(request.challenge);
-  const std::size_t distance = reference.hamming_distance(request.response);
-  if (distance <= options_.max_distance) {
-    accepted.add(1);
-    return AuthVerdict{AuthStatus::kAccept, distance, bits};
-  }
-  rejected.add(1);
-  return AuthVerdict{AuthStatus::kReject, distance, bits};
+  by_status[static_cast<std::size_t>(verdict.status)]->add(1);
+  return verdict;
 }
 
-std::vector<AuthVerdict> AuthService::verify_batch(
-    const std::vector<AuthRequest>& requests) const {
+AuthVerdict AuthService::verify_pinned(const registry::RegistrySnapshot& snapshot,
+                                       const AuthRequest& request) const {
+  return verify_resolved(
+      snapshot, request.device_id, options_.response_bits,
+      [&](const CachedLookup& lookup) {
+        const puf::ConfigurableEnrollment& enrollment = *lookup.enrollment;
+        const std::size_t bits =
+            std::min(options_.response_bits, enrollment.layout.pair_count);
+        if (request.response.size() != bits) {
+          return AuthVerdict{AuthStatus::kMalformedRequest, 0, bits};
+        }
+        const puf::CrpOracle oracle(&enrollment, bits);
+        const BitVec reference = oracle.reference(request.challenge);
+        const std::size_t distance = reference.hamming_distance(request.response);
+        return AuthVerdict{distance <= options_.max_distance ? AuthStatus::kAccept
+                                                             : AuthStatus::kReject,
+                           distance, bits};
+      });
+}
+
+template <typename VerifyOne>
+std::vector<AuthVerdict> AuthService::verify_each(std::size_t count,
+                                                  const char* span_name,
+                                                  const VerifyOne& verify_one) const {
   static obs::Counter& batches = obs::Registry::instance().counter("service.batches");
   static obs::Counter& batch_items =
       obs::Registry::instance().counter("service.batch_items");
   static obs::Histogram& batch_us =
       obs::Registry::instance().latency_histogram("service.batch_us");
   batches.add(1);
-  batch_items.add(requests.size());
+  batch_items.add(count);
   const obs::ScopedLatency batch_timer(batch_us);
-  const obs::TraceSpan span("service.verify_batch");
+  const obs::TraceSpan span(span_name);
 
   // ONE snapshot pin for the whole batch: every verdict resolves against
   // the same registry generation, so an epoch swap mid-batch cannot split
@@ -333,21 +343,22 @@ std::vector<AuthVerdict> AuthService::verify_batch(
   // admitted under (the swap-under-traffic invariant).
   const std::shared_ptr<const registry::RegistrySnapshot> snapshot =
       epochs_->snapshot();
+  return parallel_transform<AuthVerdict>(
+      count, options_.threads, [&](std::size_t i) { return verify_one(*snapshot, i); },
+      options_.batch_grain);
+}
 
-  std::vector<AuthVerdict> verdicts;
-  if (!options_.admission.enabled()) {
-    verdicts = parallel_transform<AuthVerdict>(
-        requests.size(), options_.threads,
-        [&](std::size_t i) { return verify_pinned(*snapshot, requests[i]); },
-        options_.batch_grain);
-  } else {
-    // Admission is order-dependent per-device state, so it is decided in a
-    // *serial* pre-pass over arrival order; only the verification of the
-    // admitted remainder runs on the pool. The admitted verdicts are then
-    // exactly what an admission-free verify_batch would produce for the same
-    // subsequence — the digest-parity property the soak harness pins.
+std::vector<AuthVerdict> AuthService::verify_batch(
+    const std::vector<AuthRequest>& requests) const {
+  // Admission is order-dependent per-device state, so it is decided in a
+  // *serial* pre-pass over arrival order; only the verification of the
+  // admitted remainder runs on the pool. The admitted verdicts are then
+  // exactly what an admission-free verify_batch would produce for the same
+  // subsequence — the digest-parity property the soak harness pins.
+  std::vector<Admission> decisions;
+  if (options_.admission.enabled()) {
     const bool detect = options_.detector.enabled;
-    std::vector<Admission> decisions(requests.size());
+    decisions.resize(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const std::size_t slice = admission_slice_index(requests[i].device_id);
       // The detector's escalation ladder tightens a suspicious device's
@@ -360,22 +371,20 @@ std::vector<AuthVerdict> AuthService::verify_batch(
           admission_[slice]->admit(requests[i].device_id, requests[i].challenge,
                                    penalty);
     }
-    verdicts = parallel_transform<AuthVerdict>(
-        requests.size(), options_.threads,
-        [&](std::size_t i) {
-          switch (decisions[i]) {
-            case Admission::kRateLimited:
-              return AuthVerdict{AuthStatus::kRateLimited, 0, options_.response_bits};
-            case Admission::kBudgetExhausted:
-              return AuthVerdict{AuthStatus::kBudgetExhausted, 0,
-                                 options_.response_bits};
-            case Admission::kAdmit:
-              break;
-          }
-          return verify_pinned(*snapshot, requests[i]);
-        },
-        options_.batch_grain);
   }
+  std::vector<AuthVerdict> verdicts = verify_each(
+      requests.size(), "service.verify_batch",
+      [&](const registry::RegistrySnapshot& snapshot, std::size_t i) {
+        switch (decisions.empty() ? Admission::kAdmit : decisions[i]) {
+          case Admission::kRateLimited:
+            return AuthVerdict{AuthStatus::kRateLimited, 0, options_.response_bits};
+          case Admission::kBudgetExhausted:
+            return AuthVerdict{AuthStatus::kBudgetExhausted, 0, options_.response_bits};
+          case Admission::kAdmit:
+            break;
+        }
+        return verify_pinned(snapshot, requests[i]);
+      });
   // Detector feedback is a serial post-pass like admission is a serial
   // pre-pass: the batch's observations stream in arrival order, so the
   // suspicion state (and with it the next batch's penalties) is
@@ -404,68 +413,36 @@ AuthVerdict AuthService::verify_proof(const ProofRequest& request) const {
 
 AuthVerdict AuthService::verify_proof_pinned(
     const registry::RegistrySnapshot& snapshot, const ProofRequest& request) const {
-  static obs::Counter& requests =
-      obs::Registry::instance().counter("service.proof_requests");
-  static obs::Counter& accepted =
-      obs::Registry::instance().counter("service.proofs_accepted");
-  static obs::Counter& rejected =
-      obs::Registry::instance().counter("service.proofs_rejected");
-  static obs::Counter& unknown =
-      obs::Registry::instance().counter("service.proof_unknown_device");
-  static obs::Counter& corrupt =
-      obs::Registry::instance().counter("service.proof_corrupt_record");
-  static obs::Histogram& verify_us =
-      obs::Registry::instance().latency_histogram("service.proof_verify_us");
-  requests.add(1);
-  const obs::ScopedLatency verify_timer(verify_us);
-
-  const EnrollmentCache::Entry looked_up =
-      resolve_lookup(snapshot, request.device_id);
-  switch (looked_up->outcome) {
-    case CachedLookup::Outcome::kUnknownDevice:
-      unknown.add(1);
-      return AuthVerdict{AuthStatus::kUnknownDevice, 0, 0};
-    case CachedLookup::Outcome::kCorruptRecord:
-      corrupt.add(1);
-      return AuthVerdict{AuthStatus::kCorruptRecord, 0, 0};
-    case CachedLookup::Outcome::kEnrolled:
-      break;
-  }
-  if (!looked_up->auth_key.has_value()) {
-    // Enrolled but not provisioned for v2 (or its auth material failed the
-    // key check): the record cannot back a proof.
-    corrupt.add(1);
-    return AuthVerdict{AuthStatus::kCorruptRecord, 0, 0};
-  }
-  // response_bits reports the helper-covered span; distance is always 0 —
-  // the whole point of v2 is that no distance oracle leaves the verifier.
-  const puf::ConfigurableEnrollment& enrollment = *looked_up->enrollment;
-  const std::size_t covered =
-      enrollment.auth_helper.size() * enrollment.auth_helper.front().size();
-  if (auth::verify_tag(*looked_up->auth_key, request.nonce, request.request_id,
-                       request.device_id, request.tag)) {
-    accepted.add(1);
-    return AuthVerdict{AuthStatus::kAccept, 0, covered};
-  }
-  rejected.add(1);
-  return AuthVerdict{AuthStatus::kReject, 0, covered};
+  return verify_resolved(
+      snapshot, request.device_id, 0, [&](const CachedLookup& lookup) {
+        if (!lookup.auth_key.has_value()) {
+          // Enrolled but not provisioned for v2 (or its auth material failed
+          // the key check): the record cannot back a proof.
+          return AuthVerdict{AuthStatus::kCorruptRecord, 0, 0};
+        }
+        // response_bits reports the helper-covered span; distance is always
+        // 0 — the whole point of v2 is that no distance oracle leaves the
+        // verifier.
+        const puf::ConfigurableEnrollment& enrollment = *lookup.enrollment;
+        const std::size_t covered =
+            enrollment.auth_helper.size() * enrollment.auth_helper.front().size();
+        const bool valid = auth::verify_tag(*lookup.auth_key, request.nonce,
+                                            request.request_id, request.device_id,
+                                            request.tag);
+        return AuthVerdict{valid ? AuthStatus::kAccept : AuthStatus::kReject, 0,
+                           covered};
+      });
 }
 
 std::vector<AuthVerdict> AuthService::verify_proof_batch(
     const std::vector<ProofRequest>& requests) const {
-  static obs::Counter& batches =
-      obs::Registry::instance().counter("service.proof_batches");
-  batches.add(1);
-  const obs::TraceSpan span("service.verify_proof_batch");
-  // One snapshot pin, no admission pre-pass and no re-enrollment post-pass:
-  // a proof verdict is a pure function of its request and the pinned
-  // registry, so the batch is bit-identical at any thread budget.
-  const std::shared_ptr<const registry::RegistrySnapshot> snapshot =
-      epochs_->snapshot();
-  return parallel_transform<AuthVerdict>(
-      requests.size(), options_.threads,
-      [&](std::size_t i) { return verify_proof_pinned(*snapshot, requests[i]); },
-      options_.batch_grain);
+  // No admission pre-pass and no post-passes: a proof verdict is a pure
+  // function of its request and the pinned registry, so the batch is
+  // bit-identical at any thread budget.
+  return verify_each(requests.size(), "service.verify_proof_batch",
+                     [&](const registry::RegistrySnapshot& snapshot, std::size_t i) {
+                       return verify_proof_pinned(snapshot, requests[i]);
+                     });
 }
 
 void AuthService::track_reenrollment(const std::vector<AuthRequest>& requests,

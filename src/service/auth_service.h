@@ -311,11 +311,12 @@ class AuthService {
 
   /// Verifies one protocol-v2 proof: recomputes HMAC(key, nonce || rid ||
   /// device_id) from the record-derived key and compares in constant time.
-  /// kUnknownDevice / kCorruptRecord degradations mirror verify(); an
-  /// unprovisioned record (no auth material) is a corrupt record from the
-  /// v2 path's point of view. Accept/reject verdicts report distance 0 —
-  /// the v2 wire deliberately carries no distance oracle — and
-  /// response_bits = the helper-covered bit count.
+  /// kUnknownDevice / kCorruptRecord degradations mirror verify() but report
+  /// response_bits 0; an unprovisioned record (no auth material) is a
+  /// corrupt record from the v2 path's point of view. Accept/reject verdicts
+  /// report distance 0 — the v2 wire deliberately carries no distance
+  /// oracle — and response_bits = the helper-covered bit count. Counted in
+  /// the same service.* verdict family as verify().
   AuthVerdict verify_proof(const ProofRequest& request) const;
 
   /// verify_proof over the parallel pool, one snapshot pin for the batch.
@@ -370,7 +371,20 @@ class AuthService {
   /// verify_proof() against an explicitly pinned snapshot.
   AuthVerdict verify_proof_pinned(const registry::RegistrySnapshot& snapshot,
                                   const ProofRequest& request) const;
-  /// The shared lookup-and-cache step behind both verify paths.
+  /// The resolve-degrade-count step both protocols share: resolves the
+  /// device, answers kUnknownDevice / kCorruptRecord itself (reporting
+  /// `degraded_bits`), hands an enrolled lookup to `judge`, and counts the
+  /// verdict once under the service.* family.
+  template <typename Judge>
+  AuthVerdict verify_resolved(const registry::RegistrySnapshot& snapshot,
+                              std::uint64_t device_id, std::size_t degraded_bits,
+                              const Judge& judge) const;
+  /// The pin-and-transform step both batch calls share: one snapshot pin,
+  /// then verify_one(snapshot, i) for every i over the parallel pool.
+  template <typename VerifyOne>
+  std::vector<AuthVerdict> verify_each(std::size_t count, const char* span_name,
+                                       const VerifyOne& verify_one) const;
+  /// The lookup-and-cache step behind verify_resolved.
   EnrollmentCache::Entry resolve_lookup(const registry::RegistrySnapshot& snapshot,
                                         std::uint64_t device_id) const;
   /// Serial post-pass: walks a batch's verdicts in arrival order and feeds

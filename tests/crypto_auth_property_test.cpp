@@ -151,11 +151,11 @@ TEST(AuthFuzzyProperty, BeyondRadiusFailsClosedSweep) {
     for (std::size_t s = 0; s < seeds; ++s) {
       const std::uint64_t seed = 0xbe70 + s * 97 + c.pairs;
       puf::ConfigurableEnrollment enrollment = sample_enrollment(seed, c.pairs);
-      const crypto::Sha256Digest key = provisioned_key(enrollment, seed);
+      provisioned_key(enrollment, seed);
 
       // t+1 errors inside block 0: past the bounded-distance radius the
-      // decoder either reports failure (nullopt) or lands on a WRONG
-      // codeword — either way the enrolled key must never come back.
+      // decoder either reports failure or lands on a WRONG codeword, which
+      // the key check value catches — either way the prover is keyless.
       Rng flips(seed ^ 0x0dd);
       BitVec noisy = enrollment.response();
       std::vector<std::size_t> positions;
@@ -169,9 +169,9 @@ TEST(AuthFuzzyProperty, BeyondRadiusFailsClosedSweep) {
 
       const std::optional<crypto::Sha256Digest> recovered =
           auth::recover_key(noisy, enrollment);
-      EXPECT_FALSE(recovered.has_value() && *recovered == key)
+      EXPECT_FALSE(recovered.has_value())
           << "code " << int(c.code_id) << " seed " << s
-          << ": enrolled key recovered past the correction radius";
+          << ": a key recovered past the correction radius";
     }
   }
 }

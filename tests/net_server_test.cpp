@@ -239,6 +239,41 @@ TEST(AuthServer, PerSweepReadCapStillAnswersEverything) {
   }
 }
 
+TEST(AuthServer, FrameSplitAcrossWritesKeepsItsTailBehindPipelinedFrames) {
+  // The reader walks its buffer by offset and compacts once per read: a
+  // frame cut once inside its header and once inside its payload, behind
+  // whole pipelined frames, must survive every compaction and be answered
+  // in order.
+  ServerHarness harness;
+  const auto requests = small_workload(harness.registry(), {}, 4);
+  const service::AuthService offline(&harness.registry(), {});
+  const std::vector<service::AuthVerdict> expected = offline.verify_batch(requests);
+  const auto expect_answer = [&](std::size_t i, const net::WireResponse& response) {
+    const service::AuthVerdict verdict = net::auth_verdict(response);
+    EXPECT_EQ(verdict.status, expected[i].status) << "request " << i;
+    EXPECT_EQ(verdict.distance, expected[i].distance) << "request " << i;
+    EXPECT_EQ(verdict.response_bits, expected[i].response_bits) << "request " << i;
+  };
+
+  const std::string split = net::encode_request_frame(requests[2]);
+  const std::size_t in_header = net::kFrameHeaderBytes / 2;
+  const std::size_t in_payload = net::kFrameHeaderBytes + 4;
+  ASSERT_LT(in_payload, split.size());
+
+  net::AuthClient client = harness.client();
+  client.send_raw(net::encode_request_frame(requests[0]) +
+                  net::encode_request_frame(requests[1]) + split.substr(0, in_header));
+  // Both whole frames are answered while the header fragment waits.
+  expect_answer(0, client.recv_response());
+  expect_answer(1, client.recv_response());
+  client.send_raw(split.substr(in_header, in_payload - in_header));
+  // Give the loop sweeps that see the payload fragment on its own.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  client.send_raw(split.substr(in_payload) + net::encode_request_frame(requests[3]));
+  expect_answer(2, client.recv_response());
+  expect_answer(3, client.recv_response());
+}
+
 TEST(AuthServer, ReadDeadlineClosesSilentConnections) {
   net::ServerOptions options;
   options.read_deadline_ms = 100;

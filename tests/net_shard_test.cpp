@@ -2,14 +2,11 @@
 // with the offline batch engine across the full {shards} x {threads}
 // matrix, deterministic round-robin connection placement with per-shard
 // counters, admission decisions that stick to the device (not the reactor
-// shard a connection landed on), graceful drain answering in-flight
-// requests on every shard, and the SO_REUSEPORT listener path where the
-// platform provides it.
+// shard a connection landed on), and graceful drain answering in-flight
+// requests on every shard.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
-
-#include <sys/socket.h>
 
 #include <chrono>
 #include <string>
@@ -106,11 +103,9 @@ class ShardHarness {
   std::thread thread_;
 };
 
-net::ServerOptions sharded(std::size_t shards,
-                           net::DispatchMode dispatch = net::DispatchMode::kRoundRobin) {
+net::ServerOptions sharded(std::size_t shards) {
   net::ServerOptions options;
   options.shards = shards;
-  options.dispatch = dispatch;
   return options;
 }
 
@@ -175,7 +170,7 @@ TEST(ShardedAuthServer, DigestParityAcrossShardAndThreadMatrix) {
 }
 
 TEST(ShardedAuthServer, RoundRobinPlacesConnectionsAcrossShardsInOrder) {
-  // Round-robin dispatch is deterministic: connection k lands on shard
+  // Round-robin placement is deterministic: connection k lands on shard
   // k % shards. Pin it through the per-shard accepted counters (deltas:
   // the registry instruments are process-wide and other tests bump them).
   obs::set_metrics_enabled(true);
@@ -185,9 +180,8 @@ TEST(ShardedAuthServer, RoundRobinPlacesConnectionsAcrossShardsInOrder) {
   const std::uint64_t before0 = shard0.value();
   const std::uint64_t before1 = shard1.value();
 
-  ShardHarness harness(sharded(2, net::DispatchMode::kRoundRobin));
+  ShardHarness harness(sharded(2));
   EXPECT_EQ(harness.server().shard_count(), 2u);
-  EXPECT_EQ(harness.server().dispatch(), net::DispatchMode::kRoundRobin);
 
   const auto requests = small_workload(harness.registry(), {}, 8);
   // Connect and exchange one round sequentially so every accept is adopted
@@ -213,7 +207,7 @@ TEST(ShardedAuthServer, AdmissionSticksToTheDeviceNotTheReactorShard) {
   auth_options.admission.rate_burst = 2;
   auth_options.admission.rate_interval = 1u << 20;
   auth_options.admission_shards = 2;
-  ShardHarness harness(sharded(2, net::DispatchMode::kRoundRobin), auth_options);
+  ShardHarness harness(sharded(2), auth_options);
 
   std::vector<service::AuthRequest> first_conn;
   std::vector<service::AuthRequest> second_conn;
@@ -249,7 +243,7 @@ TEST(ShardedAuthServer, GracefulDrainAnswersInFlightRequestsOnEveryShard) {
   obs::Registry& registry = obs::Registry::instance();
   obs::Counter& enqueued = registry.counter("net.requests_enqueued");
 
-  ShardHarness harness(sharded(2, net::DispatchMode::kRoundRobin));
+  ShardHarness harness(sharded(2));
   const auto requests = small_workload(harness.registry(), {}, 32);
 
   net::AuthClient a = harness.client();
@@ -276,40 +270,6 @@ TEST(ShardedAuthServer, GracefulDrainAnswersInFlightRequestsOnEveryShard) {
   EXPECT_EQ(a.recv_until_close(), 8u);
   EXPECT_EQ(b.recv_until_close(), 8u);
   obs::set_metrics_enabled(false);
-}
-
-TEST(ShardedAuthServer, ReusePortModeServesWhenThePlatformHasIt) {
-  // kAuto resolves to SO_REUSEPORT listeners where the platform supports
-  // them (Linux does); otherwise it must fall back to round-robin and still
-  // serve. Either way the verdicts stay parity-equal to offline.
-  const service::AuthServiceOptions auth_options;
-  ShardHarness harness(sharded(2, net::DispatchMode::kAuto), auth_options);
-#ifdef SO_REUSEPORT
-  EXPECT_EQ(harness.server().dispatch(), net::DispatchMode::kReusePort);
-#else
-  EXPECT_EQ(harness.server().dispatch(), net::DispatchMode::kRoundRobin);
-#endif
-
-  const auto requests = small_workload(harness.registry(), auth_options, 48);
-  const registry::Registry offline_registry = small_registry();
-  const service::AuthService offline(&offline_registry, auth_options);
-  const auto expected = offline.verify_batch(requests);
-
-  // Two sequential connections: kernel reuseport hashing decides the shard,
-  // so the test asserts parity (which must hold on any placement), not
-  // placement itself.
-  std::vector<service::AuthVerdict> online;
-  net::AuthClient first = harness.client();
-  for (const net::WireResponse& response :
-       first.send_batch({requests.begin(), requests.begin() + 24})) {
-    online.push_back(net::auth_verdict(response));
-  }
-  net::AuthClient second = harness.client();
-  for (const net::WireResponse& response :
-       second.send_batch({requests.begin() + 24, requests.end()})) {
-    online.push_back(net::auth_verdict(response));
-  }
-  EXPECT_EQ(service::verdict_digest(online), service::verdict_digest(expected));
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "common/parallel.h"
 #include "net/client.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "registry/format.h"
 #include "registry/registry.h"
 #include "service/auth_service.h"
@@ -224,6 +225,37 @@ TEST(NetV2, HelloMidStreamRePinsTheConnection) {
   // ...after which a v2 request is refused like on any unpinned connection.
   client.send_raw(net::encode_request_frame_v2(1, harness.registry().device_id_at(0)));
   EXPECT_EQ(client.recv_response().status, net::WireStatus::kBadFrame);
+}
+
+TEST(NetV2, HelloReplyWaitsBehindEarlierVerdicts) {
+  // One ordering rule for every answer: a hello pipelined between two v1
+  // requests is answered between their verdicts, not ahead of them.
+  ServerHarness harness;
+  service::WorkloadSpec spec;
+  spec.requests = 2;
+  const std::vector<service::AuthRequest> requests =
+      service::synthesize_workload(harness.registry(), {}, spec);
+  const service::AuthService offline(&harness.registry(), {});
+  const auto expect_verdict = [&](const net::AuthClient::RawFrame& frame,
+                                  const service::AuthRequest& request) {
+    ASSERT_EQ(frame.type, net::FrameType::kAuthResponse);
+    ASSERT_EQ(frame.version, net::kWireVersion);
+    const net::WireResponse want = net::wire_response(offline.verify(request));
+    const net::WireResponse got = net::decode_response_payload(frame.payload);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.distance, want.distance);
+    EXPECT_EQ(got.response_bits, want.response_bits);
+  };
+
+  net::AuthClient client = harness.client();
+  client.send_raw(net::encode_request_frame(requests[0]) +
+                  net::encode_client_hello(net::kWireMaxVersion) +
+                  net::encode_request_frame(requests[1]));
+  expect_verdict(client.recv_frame(), requests[0]);
+  const net::AuthClient::RawFrame hello = client.recv_frame();
+  ASSERT_EQ(hello.type, net::FrameType::kServerHello);
+  EXPECT_EQ(net::decode_hello_payload(hello.payload), net::kWireVersionV2);
+  expect_verdict(client.recv_frame(), requests[1]);
 }
 
 TEST(NetV2, ClientFallsBackToV1AgainstAPreV2Server) {
@@ -457,6 +489,73 @@ TEST(NetV2, ProofsCompleteInProofArrivalOrderNotRequestOrder) {
   }
 }
 
+TEST(NetV2, ProofsPastMaxPendingAnswerOverloadedWithTheirRequestId) {
+  // max_pending bounds proofs like v1 requests: with room for two, the
+  // third proof of one read is refused with its request id, behind the two
+  // verdicts ahead of it, and its session is spent like any proof's.
+  net::ServerOptions options;
+  options.max_pending = 2;
+  ServerHarness harness(options);
+  net::AuthClient client = harness.client();
+  ASSERT_EQ(client.negotiate(), net::kWireVersionV2);
+
+  const std::uint64_t did = harness.registry().device_id_at(3);
+  const crypto::Sha256Digest key = enrolled_key(harness.registry(), did);
+  client.send_raw(net::encode_request_frame_v2(1, did) +
+                  net::encode_request_frame_v2(2, did) +
+                  net::encode_request_frame_v2(3, did));
+  std::vector<std::string> proofs;
+  for (const std::uint64_t rid : {1u, 2u, 3u}) {
+    const net::ChallengePayload challenge =
+        net::decode_challenge_payload(client.recv_frame().payload);
+    ASSERT_EQ(challenge.request_id, rid);
+    proofs.push_back(
+        net::encode_proof_frame(rid, auth::prove(key, challenge.nonce, rid, did)));
+  }
+  client.send_raw(proofs[0] + proofs[1] + proofs[2]);
+
+  for (const std::uint64_t rid : {1u, 2u}) {
+    const net::V2Response verdict =
+        net::decode_response_payload_v2(client.recv_frame().payload);
+    EXPECT_EQ(verdict.request_id, rid);
+    EXPECT_EQ(verdict.response.status, net::WireStatus::kAccept);
+  }
+  const net::V2Response refused =
+      net::decode_response_payload_v2(client.recv_frame().payload);
+  EXPECT_EQ(refused.request_id, 3u);
+  EXPECT_EQ(refused.response.status, net::WireStatus::kOverloaded);
+
+  client.send_raw(proofs[2]);
+  const net::V2Response replay =
+      net::decode_response_payload_v2(client.recv_frame().payload);
+  EXPECT_EQ(replay.request_id, 3u);
+  EXPECT_EQ(replay.response.status, net::WireStatus::kReject);
+}
+
+TEST(NetV2, ProofsVerifyThroughTheServiceBatchPath) {
+  // Proofs queue and drain like v1 requests: every one lands in a batch
+  // (service.batch_items) and counts once in the shared service.requests.
+  obs::set_metrics_enabled(true);
+  obs::Registry& metrics = obs::Registry::instance();
+  obs::Counter& batch_items = metrics.counter("service.batch_items");
+  obs::Counter& requests = metrics.counter("service.requests");
+  const std::uint64_t items_before = batch_items.value();
+  const std::uint64_t requests_before = requests.value();
+
+  ServerHarness harness;
+  service::WorkloadSpec spec;
+  spec.requests = 32;
+  const std::vector<service::ProofIntent> intents =
+      service::synthesize_proof_workload(harness.registry(), spec);
+  net::AuthClient client = harness.client();
+  ASSERT_EQ(client.negotiate(), net::kWireVersionV2);
+  ASSERT_EQ(client.send_proof_batch(intents).size(), intents.size());
+
+  EXPECT_EQ(batch_items.value() - items_before, intents.size());
+  EXPECT_EQ(requests.value() - requests_before, intents.size());
+  obs::set_metrics_enabled(false);
+}
+
 // ---------------------------------------------------------- proof batch API
 
 TEST(NetV2, SendProofBatchPreconditionsThrow) {
@@ -491,7 +590,6 @@ TEST(NetV2, ProofBatchMatchesOfflineAtEveryShardCountAndThreadBudget) {
       set_thread_budget_override(threads);
       net::ServerOptions options;
       options.shards = shards;
-      options.dispatch = net::DispatchMode::kRoundRobin;
       ServerHarness harness(options, auth_options);
       const std::vector<service::ProofIntent> intents =
           service::synthesize_proof_workload(harness.registry(), spec);

@@ -163,7 +163,6 @@ TEST(SwapUnderTraffic, EveryAnswerMatchesItsAdmissionEpochAcrossTheMatrix) {
       const service::AuthService svc(&epochs, svc_options);
       net::ServerOptions server_options;
       server_options.shards = shards;
-      server_options.dispatch = net::DispatchMode::kRoundRobin;
       server_options.port = 0;
       server_options.poll_interval_ms = 2;
       net::AuthServer server(&svc, server_options);
@@ -482,7 +481,6 @@ TEST(ServerReload, RequestReloadSwapsEpochsAcrossShardsWithoutDroppingTraffic) {
 
   net::ServerOptions options;
   options.shards = 2;
-  options.dispatch = net::DispatchMode::kRoundRobin;
   options.port = 0;
   options.poll_interval_ms = 2;
   net::AuthServer server(&svc, options);

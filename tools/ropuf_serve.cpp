@@ -17,7 +17,7 @@
 //               [--detector-threshold N] [--detector-max-level N]
 //               [--detector-decay N] [--detector-devices N]
 //               [--threads N]
-//               [--shards N] [--dispatch auto|reuseport|roundrobin]
+//               [--shards N]
 //               [--max-connections N] [--max-pending N] [--max-batch N]
 //               [--max-read-per-sweep N] [--read-deadline-ms N]
 //               [--accept-backoff-ms N] [--drain-timeout-ms N]
@@ -90,16 +90,6 @@ int serve(const Args& args) {
 
   net::ServerOptions opts;
   opts.shards = shards;
-  const std::string dispatch = args.get("dispatch", "auto");
-  if (dispatch == "auto") {
-    opts.dispatch = net::DispatchMode::kAuto;
-  } else if (dispatch == "reuseport") {
-    opts.dispatch = net::DispatchMode::kReusePort;
-  } else if (dispatch == "roundrobin") {
-    opts.dispatch = net::DispatchMode::kRoundRobin;
-  } else {
-    ROPUF_REQUIRE(false, "--dispatch must be auto, reuseport, or roundrobin");
-  }
   opts.bind_address = args.get("bind", "127.0.0.1");
   opts.port = static_cast<std::uint16_t>(args.number("port", 0));
   // count_arg rejects negative values eagerly; a negative bound must fail
@@ -160,12 +150,9 @@ int serve(const Args& args) {
     ROPUF_REQUIRE(file.flush().good(), "failed writing port file " + path);
   }
   if (server.shard_count() > 1) {
-    std::printf("serving %zu devices on %s:%u (%zu shards, %s dispatch, epoch %llu)\n",
+    std::printf("serving %zu devices on %s:%u (%zu shards, epoch %llu)\n",
                 epochs.device_count(), opts.bind_address.c_str(), port,
-                server.shard_count(),
-                server.dispatch() == net::DispatchMode::kReusePort ? "reuseport"
-                                                                   : "roundrobin",
-                static_cast<unsigned long long>(epochs.epoch()));
+                server.shard_count(), static_cast<unsigned long long>(epochs.epoch()));
   } else {
     std::printf("serving %zu devices on %s:%u (epoch %llu)\n", epochs.device_count(),
                 opts.bind_address.c_str(), port,
@@ -196,7 +183,7 @@ int usage() {
                "                   [--detector-threshold N] [--detector-max-level N]\n"
                "                   [--detector-decay N] [--detector-devices N]\n"
                "                   [--reenroll-threshold N]\n"
-               "                   [--shards N] [--dispatch auto|reuseport|roundrobin]\n"
+               "                   [--shards N]\n"
                "                   [--max-connections N] [--max-pending N]\n"
                "                   [--max-batch N] [--max-read-per-sweep N]\n"
                "                   [--read-deadline-ms N] [--accept-backoff-ms N]\n"

@@ -68,11 +68,10 @@ soak::SoakOptions soak_options_from_args(const Args& args) {
   // (next event waits for the previous answer) keeps the global arrival
   // order deterministic whichever shard owns each connection, and admission
   // slices by device hash — so the report must not change with the shard
-  // count. Round-robin dispatch keeps connection placement deterministic
-  // too, independent of kernel reuseport hashing.
+  // count. Connections are dealt to shards round-robin, so their placement
+  // is deterministic too.
   options.server.shards = static_cast<std::size_t>(count_arg(args, "shards", 1));
   ROPUF_REQUIRE(options.server.shards > 0, "--shards must be positive");
-  options.server.dispatch = net::DispatchMode::kRoundRobin;
   options.service.admission_shards = options.server.shards;
   return options;
 }

@@ -11,15 +11,15 @@
 #
 # Runs four phases: single-reactor (--shards 1, the PR-5 shape),
 # multi-reactor (--shards 2, which also exercises the --port-file handshake
-# contract: the port file must not appear until EVERY shard listener is
-# bound), a v1/v2 interop phase (one v2-capable server serving a v1 client
-# and a `--protocol 2` client concurrently — the v1 digest must stay
-# byte-identical and the v2 digest must match offline
-# `auth-batch --protocol 2`), and a reload phase that serves from an
-# on-disk registry, appends a delta segment with ropuf_cli registry-append,
-# sends SIGHUP, and requires the server to report the new epoch while
-# verdicts for the untouched base devices stay byte-identical across the
-# swap.
+# contract: the port file must not appear until the listener is bound and
+# every shard can take a handed-off connection), a v1/v2 interop phase (one
+# v2-capable server serving a v1 client and a `--protocol 2` client
+# concurrently — the v1 digest must stay byte-identical and the v2 digest
+# must match offline `auth-batch --protocol 2`), and a reload phase that
+# serves from an on-disk registry, appends a delta segment with ropuf_cli
+# registry-append, sends SIGHUP, and requires the server to report the new
+# epoch while verdicts for the untouched base devices stay byte-identical
+# across the swap.
 #
 # Usage: server_smoke_test.sh <ropuf_serve> <ropuf_cli> <workdir>
 set -euo pipefail
