@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/error.h"
@@ -10,180 +9,106 @@
 #include "obs/trace.h"
 
 namespace ropuf::registry {
-namespace {
-
-constexpr char kDeltaMagic[8] = {'R', 'O', 'P', 'U', 'F', 'D', 'L', 'T'};
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-std::string read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  ROPUF_REQUIRE(in.good(), "cannot open delta file " + path);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-}  // namespace
 
 // ------------------------------------------------------------ delta builder
 
 void DeltaBuilder::upsert(std::uint64_t device_id,
                           puf::ConfigurableEnrollment enrollment) {
-  validate_enrollment(enrollment);
-  ROPUF_REQUIRE(ids_.insert(device_id).second,
-                "duplicate device id " + std::to_string(device_id) +
-                    " in delta segment");
-  entries_.push_back(Entry{device_id, false, std::move(enrollment)});
+  const bool fresh = image_.stage(device_id, encode_validated_record(enrollment));
+  ROPUF_REQUIRE(fresh, "duplicate device id " + std::to_string(device_id) +
+                           " in delta segment");
 }
 
 void DeltaBuilder::retire(std::uint64_t device_id) {
-  ROPUF_REQUIRE(ids_.insert(device_id).second,
-                "duplicate device id " + std::to_string(device_id) +
-                    " in delta segment");
-  entries_.push_back(Entry{device_id, true, {}});
-}
-
-std::string DeltaBuilder::build() const {
-  std::vector<const Entry*> sorted;
-  sorted.reserve(entries_.size());
-  for (const Entry& entry : entries_) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(), [](const Entry* a, const Entry* b) {
-    return a->device_id < b->device_id;
-  });
-
-  ByteWriter records;
-  ByteWriter index;
-  for (const Entry* entry : sorted) {
-    index.u64(entry->device_id);
-    if (entry->tombstone) {
-      // A tombstone is pure index: offset 0, size 0, no payload.
-      index.u64(0);
-      index.u64(0);
-      continue;
-    }
-    const std::size_t offset = records.size();
-    encode_enrollment_record(records, entry->enrollment);
-    index.u64(offset);
-    index.u64(records.size() - offset);
-  }
-  return assemble_sections(std::string_view(kDeltaMagic, sizeof(kDeltaMagic)),
-                           kDeltaFormatVersion, entries_.size(), index.bytes(),
-                           records.bytes());
-}
-
-void DeltaBuilder::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ROPUF_REQUIRE(out.good(), "cannot open delta output file " + path);
-  const std::string bytes = build();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  ROPUF_REQUIRE(out.good(), "failed writing delta file " + path);
+  const bool fresh = image_.stage(device_id, std::string());
+  ROPUF_REQUIRE(fresh, "duplicate device id " + std::to_string(device_id) +
+                           " in delta segment");
 }
 
 // ------------------------------------------------------------ delta segment
 
-DeltaSegment DeltaSegment::from_bytes(std::string bytes) {
+DeltaSegment::DeltaSegment(SectionedImage image) : image_(std::move(image)) {
   static obs::Counter& loads =
       obs::Registry::instance().counter("registry.delta_loads");
-
-  auto owned = std::make_shared<const std::string>(std::move(bytes));
-  const std::string_view view(*owned);
-  const SectionGeometry geometry =
-      validate_sections(view, std::string_view(kDeltaMagic, sizeof(kDeltaMagic)),
-                        kDeltaFormatVersion, /*allow_tombstones=*/true);
-
-  DeltaSegment segment;
-  segment.owner_ = std::move(owned);
-  segment.bytes_ = view;
-  segment.entry_count_ = geometry.device_count;
-  segment.index_offset_ = geometry.index_offset;
-  segment.records_offset_ = geometry.records_offset;
-  for (std::size_t i = 0; i < segment.entry_count_; ++i) {
-    if (segment.tombstone_at(i)) ++segment.tombstone_count_;
+  for (std::size_t i = 0; i < entry_count(); ++i) {
+    if (tombstone_at(i)) ++tombstone_count_;
   }
   loads.add(1);
-  return segment;
+}
+
+DeltaSegment DeltaSegment::from_bytes(std::string bytes) {
+  return DeltaSegment(SectionedImage::from_bytes(std::move(bytes), kDeltaImage));
 }
 
 DeltaSegment DeltaSegment::load_file(const std::string& path) {
-  return from_bytes(read_whole_file(path));
-}
-
-std::size_t DeltaSegment::index_entry_offset(std::size_t i) const {
-  return index_offset_ + i * kIndexEntryBytes;
+  return DeltaSegment(SectionedImage::load_file(path, kDeltaImage));
 }
 
 std::uint64_t DeltaSegment::device_id_at(std::size_t i) const {
-  ROPUF_REQUIRE(i < entry_count_, "delta entry index out of range");
-  return read_u64_at(bytes_, index_entry_offset(i));
+  return image_.entry_at(i).device_id;
 }
 
 bool DeltaSegment::tombstone_at(std::size_t i) const {
-  ROPUF_REQUIRE(i < entry_count_, "delta entry index out of range");
-  return read_u64_at(bytes_, index_entry_offset(i) + 16) == 0;
+  return image_.entry_at(i).tombstone;
 }
 
 puf::ConfigurableEnrollment DeltaSegment::enrollment_at(std::size_t i) const {
-  ROPUF_REQUIRE(!tombstone_at(i), "delta entry " + std::to_string(i) +
+  const IndexEntry entry = image_.entry_at(i);
+  ROPUF_REQUIRE(!entry.tombstone, "delta entry " + std::to_string(i) +
                                       " is a tombstone, not a record");
-  const std::size_t entry = index_entry_offset(i);
-  const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
-  const std::uint64_t size = read_u64_at(bytes_, entry + 16);
-  return decode_enrollment_record(bytes_.substr(records_offset_ + offset, size));
+  return decode_enrollment_record(image_.payload(entry));
 }
 
 DeltaSegment::Hit DeltaSegment::find(
     std::uint64_t device_id,
     std::optional<puf::ConfigurableEnrollment>* enrollment) const {
-  std::size_t lo = 0, hi = entry_count_, position = kNpos;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t mid_id = read_u64_at(bytes_, index_entry_offset(mid));
-    if (mid_id == device_id) {
-      position = mid;
-      break;
-    }
-    if (mid_id < device_id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (position == kNpos) return Hit::kMiss;
-  if (tombstone_at(position)) return Hit::kTombstone;
-  if (enrollment != nullptr) *enrollment = enrollment_at(position);
+  const std::size_t position = image_.index_position(device_id);
+  if (position == SectionedImage::npos) return Hit::kMiss;
+  const IndexEntry entry = image_.entry_at(position);
+  if (entry.tombstone) return Hit::kTombstone;
+  if (enrollment != nullptr) *enrollment = decode_enrollment_record(image_.payload(entry));
   return Hit::kUpsert;
 }
 
 // ---------------------------------------------------------------- snapshot
 
-RegistrySnapshot::RegistrySnapshot(std::uint64_t epoch, Registry base,
-                                   std::vector<DeltaSegment> deltas)
-    : epoch_(epoch), base_(std::move(base)), deltas_(std::move(deltas)) {
-  ROPUF_REQUIRE(epoch_ >= 1 + deltas_.size(),
-                "snapshot epoch must cover its delta chain");
-  // Live id set: base ids (already ascending), then each delta applied
-  // oldest to newest. Deltas are small next to the base, so this is a merge
-  // against a sorted vector per delta rather than a rebuild.
+RegistrySnapshot::RegistrySnapshot(Registry base, std::vector<DeltaSegment> deltas)
+    : epoch_(1 + deltas.size()), base_(std::move(base)), deltas_(std::move(deltas)) {
+  // Live id set: base ids (already ascending), then each delta (ascending
+  // too) merged in oldest to newest — an upsert adds its id, a tombstone
+  // drops it — in one linear pass per delta.
   live_ids_.reserve(base_.device_count());
   for (std::size_t i = 0; i < base_.device_count(); ++i) {
     live_ids_.push_back(base_.device_id_at(i));
   }
   for (const DeltaSegment& delta : deltas_) {
+    std::vector<std::uint64_t> merged;
+    merged.reserve(live_ids_.size() + delta.upsert_count());
+    auto older = live_ids_.cbegin();
     for (std::size_t i = 0; i < delta.entry_count(); ++i) {
       const std::uint64_t id = delta.device_id_at(i);
-      const auto it = std::lower_bound(live_ids_.begin(), live_ids_.end(), id);
-      const bool present = it != live_ids_.end() && *it == id;
-      if (delta.tombstone_at(i)) {
-        if (present) live_ids_.erase(it);
-      } else if (!present) {
-        live_ids_.insert(it, id);
-      }
+      while (older != live_ids_.cend() && *older < id) merged.push_back(*older++);
+      if (older != live_ids_.cend() && *older == id) ++older;
+      if (!delta.tombstone_at(i)) merged.push_back(id);
     }
+    merged.insert(merged.end(), older, live_ids_.cend());
+    live_ids_ = std::move(merged);
   }
 }
 
+RegistrySnapshot::RegistrySnapshot(std::uint64_t epoch, Registry base,
+                                   std::vector<DeltaSegment> deltas)
+    : RegistrySnapshot(std::move(base), std::move(deltas)) {
+  ROPUF_REQUIRE(epoch >= epoch_, "snapshot epoch must cover its delta chain");
+  epoch_ = epoch;
+}
+
 bool RegistrySnapshot::contains(std::uint64_t device_id) const {
-  return std::binary_search(live_ids_.begin(), live_ids_.end(), device_id);
+  for (auto it = deltas_.rbegin(); it != deltas_.rend(); ++it) {
+    const DeltaSegment::Hit hit = it->find(device_id, nullptr);
+    if (hit != DeltaSegment::Hit::kMiss) return hit == DeltaSegment::Hit::kUpsert;
+  }
+  return base_.contains(device_id);
 }
 
 std::optional<puf::ConfigurableEnrollment> RegistrySnapshot::find(
@@ -239,11 +164,9 @@ std::string compact_snapshot(const RegistrySnapshot& snapshot,
 
 // ----------------------------------------------------------- epoch registry
 
-EpochRegistry::EpochRegistry(Registry base, std::vector<DeltaSegment> deltas) {
-  const std::uint64_t epoch = 1 + deltas.size();
-  current_ = std::make_shared<const RegistrySnapshot>(epoch, std::move(base),
-                                                      std::move(deltas));
-}
+EpochRegistry::EpochRegistry(Registry base, std::vector<DeltaSegment> deltas)
+    : current_(std::make_shared<const RegistrySnapshot>(std::move(base),
+                                                        std::move(deltas))) {}
 
 std::shared_ptr<const RegistrySnapshot> EpochRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);

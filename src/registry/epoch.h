@@ -37,7 +37,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/parallel.h"
@@ -48,6 +47,9 @@ namespace ropuf::registry {
 /// Newest delta ("ROPUFDLT") format revision this library writes; readers
 /// accept 1..this (record payloads grew in v2, the container is unchanged).
 inline constexpr std::uint32_t kDeltaFormatVersion = 2;
+
+/// The delta container kind: a size-0 index entry is a tombstone.
+inline constexpr ImageKind kDeltaImage{"ROPUFDLT", kDeltaFormatVersion, true};
 
 /// Accumulates upserts and tombstones and serializes them into one delta
 /// segment. Entries may be staged in any order; build() sorts the index by
@@ -63,22 +65,17 @@ class DeltaBuilder {
   /// overlays this segment. Throws ropuf::Error on a duplicate id.
   void retire(std::uint64_t device_id);
 
-  std::size_t entry_count() const { return entries_.size(); }
+  std::size_t entry_count() const { return image_.size(); }
 
   /// Serializes every staged entry into delta-segment bytes.
-  std::string build() const;
+  std::string build() const { return image_.build(); }
 
-  /// build() straight to a file (throws ropuf::Error on I/O failure).
-  void write_file(const std::string& path) const;
+  /// build() straight to a file through write_file_atomic (throws
+  /// ropuf::Error on I/O failure).
+  void write_file(const std::string& path) const { write_file_atomic(path, build()); }
 
  private:
-  struct Entry {
-    std::uint64_t device_id = 0;
-    bool tombstone = false;
-    puf::ConfigurableEnrollment enrollment;  ///< meaningful iff !tombstone
-  };
-  std::vector<Entry> entries_;
-  std::unordered_set<std::uint64_t> ids_;
+  ImageBuilder image_{kDeltaImage};
 };
 
 /// Immutable, shareable view of one loaded delta segment. Copies share the
@@ -96,13 +93,13 @@ class DeltaSegment {
   /// the specific Defect) on any structural problem.
   static DeltaSegment from_bytes(std::string bytes);
 
-  /// Reads and validates a delta file exactly like from_bytes.
+  /// Maps (or reads) and validates a delta file exactly like from_bytes.
   static DeltaSegment load_file(const std::string& path);
 
-  std::size_t entry_count() const { return entry_count_; }
+  std::size_t entry_count() const { return image_.entry_count(); }
   std::size_t tombstone_count() const { return tombstone_count_; }
-  std::size_t upsert_count() const { return entry_count_ - tombstone_count_; }
-  std::size_t byte_size() const { return bytes_.size(); }
+  std::size_t upsert_count() const { return entry_count() - tombstone_count_; }
+  std::size_t byte_size() const { return image_.byte_size(); }
 
   /// Device id of the i-th index entry (ascending order).
   std::uint64_t device_id_at(std::size_t i) const;
@@ -118,15 +115,10 @@ class DeltaSegment {
            std::optional<puf::ConfigurableEnrollment>* enrollment) const;
 
  private:
-  DeltaSegment() = default;
-  std::size_t index_entry_offset(std::size_t i) const;
+  explicit DeltaSegment(SectionedImage image);
 
-  std::shared_ptr<const std::string> owner_;  ///< keeps the buffer alive
-  std::string_view bytes_;
-  std::size_t entry_count_ = 0;
+  SectionedImage image_;
   std::size_t tombstone_count_ = 0;
-  std::size_t index_offset_ = 0;
-  std::size_t records_offset_ = 0;
 };
 
 /// One immutable registry generation: base + ordered deltas, resolved
@@ -135,6 +127,9 @@ class DeltaSegment {
 /// object a reader pins across an epoch swap.
 class RegistrySnapshot {
  public:
+  /// The generation a fresh load of base + deltas is: epoch 1 + deltas.
+  RegistrySnapshot(Registry base, std::vector<DeltaSegment> deltas);
+  /// An explicit epoch, which must cover the delta chain (>= 1 + deltas).
   RegistrySnapshot(std::uint64_t epoch, Registry base,
                    std::vector<DeltaSegment> deltas);
 

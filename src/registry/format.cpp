@@ -1,7 +1,16 @@
 #include "registry/format.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 
 namespace ropuf::registry {
 namespace {
@@ -106,6 +115,10 @@ double ByteReader::f64() {
 
 // ----------------------------------------------------- sectioned container
 
+namespace {
+
+/// Little-endian u64 at `offset`; the caller guarantees bounds (index reads
+/// after validation proved the geometry).
 std::uint64_t read_u64_at(std::string_view bytes, std::size_t offset) {
   std::uint64_t v = 0;
   for (std::size_t b = 0; b < 8; ++b) {
@@ -115,15 +128,48 @@ std::uint64_t read_u64_at(std::string_view bytes, std::size_t offset) {
   return v;
 }
 
-SectionGeometry validate_sections(std::string_view view, std::string_view magic,
-                                  std::uint32_t version, bool allow_tombstones) {
-  const std::string magic_name(magic);
-  if (view.size() < magic.size()) {
+}  // namespace
+
+SectionedImage SectionedImage::from_bytes(std::string bytes, const ImageKind& kind) {
+  auto owned = std::make_shared<const std::string>(std::move(bytes));
+  const std::string_view view(*owned);
+  return SectionedImage(std::move(owned), view, kind);
+}
+
+SectionedImage SectionedImage::load_file(const std::string& path,
+                                         const ImageKind& kind) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ROPUF_REQUIRE(fd >= 0, "cannot open registry file " + path);
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    throw Error("cannot stat registry file " + path);
+  }
+  const auto size = static_cast<std::size_t>(st.st_size);
+  void* addr = size > 0 ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0)
+                        : MAP_FAILED;
+  ::close(fd);
+  if (addr != MAP_FAILED) {
+    std::shared_ptr<const void> owner(
+        addr, [size](const void* p) { ::munmap(const_cast<void*>(p), size); });
+    return SectionedImage(std::move(owner),
+                          std::string_view(static_cast<const char*>(addr), size), kind);
+  }
+  // Empty files, and filesystems without mmap support, are read instead.
+  std::ifstream in(path, std::ios::binary);
+  ROPUF_REQUIRE(in.good(), "cannot open registry file " + path);
+  return from_bytes(std::string(std::istreambuf_iterator<char>(in), {}), kind);
+}
+
+SectionedImage::SectionedImage(std::shared_ptr<const void> owner,
+                               std::string_view view, const ImageKind& kind)
+    : owner_(std::move(owner)), bytes_(view), tombstones_(kind.tombstones) {
+  if (view.size() < kind.magic.size()) {
     throw FormatError(Defect::kTruncated, "file is " + std::to_string(view.size()) +
                                               " bytes, shorter than the magic");
   }
-  if (std::memcmp(view.data(), magic.data(), magic.size()) != 0) {
-    throw FormatError(Defect::kBadMagic, "leading bytes are not " + magic_name);
+  if (std::memcmp(view.data(), kind.magic.data(), kind.magic.size()) != 0) {
+    throw FormatError(Defect::kBadMagic, "leading bytes are not " + std::string(kind.magic));
   }
   if (view.size() < kHeaderBytes) {
     throw FormatError(Defect::kTruncated, "file is " + std::to_string(view.size()) +
@@ -133,16 +179,16 @@ SectionGeometry validate_sections(std::string_view view, std::string_view magic,
   header.u64();  // magic, already checked
   const std::uint32_t file_version = header.u32();
   const std::uint32_t header_bytes = header.u32();
-  if (file_version == 0 || file_version > version) {
+  if (file_version == 0 || file_version > kind.version) {
     throw FormatError(Defect::kBadVersion,
                       "version " + std::to_string(file_version) +
-                          ", this reader handles 1.." + std::to_string(version));
+                          ", this reader handles 1.." + std::to_string(kind.version));
   }
   if (header_bytes != kHeaderBytes) {
     throw FormatError(Defect::kBadVersion,
                       "header claims " + std::to_string(header_bytes) +
-                          " bytes, version " + std::to_string(version) + " defines " +
-                          std::to_string(kHeaderBytes));
+                          " bytes, version " + std::to_string(kind.version) +
+                          " defines " + std::to_string(kHeaderBytes));
   }
   const std::uint64_t device_count = header.u64();
   const std::uint64_t index_offset = header.u64();
@@ -182,60 +228,120 @@ SectionGeometry validate_sections(std::string_view view, std::string_view magic,
   if (records_crc != crc32(view.substr(records_offset, records_size))) {
     throw FormatError(Defect::kRecordsCrc, "stored records checksum does not match");
   }
+  entry_count_ = static_cast<std::size_t>(device_count);
+  records_offset_ = static_cast<std::size_t>(records_offset);
 
   // Index invariants: strictly ascending ids, every entry inside the
   // records section. A tombstone (size 0) carries no payload, so its offset
   // must be 0 — a nonzero offset there means the entry bits rotted in a way
   // the CRCs cannot have missed, i.e. the file was crafted.
-  std::uint64_t previous_id = 0;
-  for (std::uint64_t i = 0; i < device_count; ++i) {
-    const std::size_t entry = index_offset + i * kIndexEntryBytes;
-    const std::uint64_t id = read_u64_at(view, entry);
-    const std::uint64_t offset = read_u64_at(view, entry + 8);
-    const std::uint64_t size = read_u64_at(view, entry + 16);
-    if (i > 0 && id <= previous_id) {
+  for (std::size_t i = 0; i < entry_count_; ++i) {
+    const IndexEntry entry = entry_at(i);
+    if (i > 0 && entry.device_id <= entry_at(i - 1).device_id) {
       throw FormatError(Defect::kBadIndex, "device ids not strictly ascending");
     }
-    previous_id = id;
-    if (allow_tombstones && size == 0 && offset != 0) {
+    if (entry.tombstone && entry.offset != 0) {
       throw FormatError(Defect::kBadIndex,
                         "tombstone entry " + std::to_string(i) + " carries an offset");
     }
-    if (offset > records_size || size > records_size - offset) {
+    if (entry.offset > records_size || entry.size > records_size - entry.offset) {
       throw FormatError(Defect::kBadIndex,
                         "index entry " + std::to_string(i) + " points outside records");
     }
   }
-
-  SectionGeometry geometry;
-  geometry.device_count = device_count;
-  geometry.index_offset = static_cast<std::size_t>(index_offset);
-  geometry.records_offset = static_cast<std::size_t>(records_offset);
-  geometry.records_size = static_cast<std::size_t>(records_size);
-  geometry.version = file_version;
-  return geometry;
 }
 
-std::string assemble_sections(std::string_view magic, std::uint32_t version,
-                              std::uint64_t device_count, std::string_view index,
-                              std::string_view records) {
+IndexEntry SectionedImage::entry_at(std::size_t i) const {
+  ROPUF_REQUIRE(i < entry_count_, "index entry out of range");
+  const std::size_t at = kHeaderBytes + i * kIndexEntryBytes;
+  const std::uint64_t size = read_u64_at(bytes_, at + 16);
+  return IndexEntry{read_u64_at(bytes_, at), read_u64_at(bytes_, at + 8), size,
+                    tombstones_ && size == 0};
+}
+
+std::size_t SectionedImage::index_position(std::uint64_t device_id) const {
+  std::size_t lo = 0, hi = entry_count_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::uint64_t mid_id = read_u64_at(bytes_, kHeaderBytes + mid * kIndexEntryBytes);
+    if (mid_id == device_id) return mid;
+    if (mid_id < device_id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return npos;
+}
+
+std::string ImageBuilder::build() const {
+  ByteWriter index;
+  std::string records;
+  for (const auto& [device_id, payload] : entries_) {
+    index.u64(device_id);
+    index.u64(payload.empty() ? 0 : records.size());
+    index.u64(payload.size());
+    records += payload;
+  }
   ByteWriter header;
-  header.raw(magic);
-  header.u32(version);
+  header.raw(kind_.magic);
+  header.u32(kind_.version);
   header.u32(static_cast<std::uint32_t>(kHeaderBytes));
-  header.u64(device_count);
+  header.u64(entries_.size());
   header.u64(kHeaderBytes);
   header.u64(index.size());
   header.u64(kHeaderBytes + index.size());
   header.u64(records.size());
-  header.u32(crc32(index));
+  header.u32(crc32(index.bytes()));
   header.u32(crc32(records));
   header.u32(crc32(header.bytes()));  // over exactly the kHeaderCrcSpan bytes above
 
   std::string file = header.take();
-  file += index;
+  file += index.bytes();
   file += records;
   return file;
+}
+
+void write_file_atomic(const std::string& path, std::string_view bytes) {
+  namespace fs = std::filesystem;
+  // Through a symlink, replace the file it names, as an in-place write did.
+  const fs::path target = fs::weakly_canonical(fs::absolute(path));
+  const fs::path dir = target.parent_path();
+  static std::atomic<unsigned> serial{0};
+  std::string temp;
+  int fd = -1;
+  do {
+    temp = (dir / (".ropuf-write-" + std::to_string(::getpid()) + "-" +
+                   std::to_string(serial++)))
+               .string();
+    fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  } while (fd < 0 && errno == EEXIST);
+  ROPUF_REQUIRE(fd >= 0, "cannot create a temp file next to " + path);
+  try {
+    struct stat st{};
+    if (::stat(target.c_str(), &st) == 0) ::fchmod(fd, st.st_mode & 07777);
+    for (std::size_t done = 0; done < bytes.size();) {
+      const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      ROPUF_REQUIRE(n > 0, "failed writing " + path);
+      done += static_cast<std::size_t>(n);
+    }
+    ROPUF_REQUIRE(::fsync(fd) == 0, "cannot sync " + path);
+    const int closed = ::close(fd);
+    fd = -1;
+    ROPUF_REQUIRE(closed == 0, "failed writing " + path);
+    ROPUF_REQUIRE(::rename(temp.c_str(), target.c_str()) == 0,
+                  "cannot replace " + path);
+  } catch (...) {
+    if (fd >= 0) ::close(fd);
+    ::unlink(temp.c_str());
+    throw;
+  }
+  // The rename is durable only once the directory entry is.
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  ROPUF_REQUIRE(synced, "cannot sync the directory of " + path);
 }
 
 }  // namespace ropuf::registry

@@ -15,6 +15,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -30,7 +32,7 @@ std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0);
 /// one check in the load path, so tests can assert the *right* check fired.
 enum class Defect {
   kTruncated,    ///< file shorter than the structure it claims to hold
-  kBadMagic,     ///< leading magic bytes are not "ROPUFREG"
+  kBadMagic,     ///< leading bytes are not the format's magic
   kBadVersion,   ///< format version this reader does not understand
   kHeaderCrc,    ///< header bytes fail their checksum
   kIndexCrc,     ///< device-index section fails its checksum
@@ -81,8 +83,10 @@ class ByteWriter {
 // The base registry ("ROPUFREG", registry.h) and the append-only delta
 // segments ("ROPUFDLT", epoch.h) share one container layout: a 68-byte
 // header, a fixed-width device index sorted by id, and a records section,
-// each CRC32-checked. The helpers below are the shared producer/consumer
-// halves so the two formats cannot drift apart structurally.
+// each CRC32-checked. SectionedImage (open, validate, search) and
+// ImageBuilder (sort, assemble) are its one implementation, and
+// write_file_atomic its one writer, so the two formats cannot drift apart
+// structurally; ImageKind is everything that tells them apart.
 
 /// Header byte count of every sectioned registry image.
 inline constexpr std::size_t kHeaderBytes = 68;
@@ -91,39 +95,98 @@ inline constexpr std::size_t kHeaderCrcSpan = 64;
 /// Bytes per index entry: u64 device id, u64 record offset, u64 record size.
 inline constexpr std::size_t kIndexEntryBytes = 24;
 
-/// Little-endian u64 at `offset`; the caller guarantees bounds (index reads
-/// after validate_sections proved the geometry).
-std::uint64_t read_u64_at(std::string_view bytes, std::size_t offset);
-
-/// The validated section geometry of an image (offsets relative to byte 0).
-struct SectionGeometry {
-  std::uint64_t device_count = 0;
-  std::size_t index_offset = 0;
-  std::size_t records_offset = 0;
-  std::size_t records_size = 0;
-  /// The version the file actually declares (<= the reader's version).
+/// What distinguishes one sectioned format from the other.
+struct ImageKind {
+  std::string_view magic;  ///< the 8 leading bytes
+  /// Newest version written; readers accept 1..this (the container layout
+  /// is version-stable, only record payloads grew).
   std::uint32_t version = 0;
+  /// Whether a size-0 index entry is a tombstone, which must carry offset 0
+  /// (deltas), or an ordinary entry whose empty payload fails to decode
+  /// with kBadRecord (the base registry's historical behavior).
+  bool tombstones = false;
 };
 
-/// Validates a sectioned image end to end — magic, version, all three CRCs,
-/// section geometry, index invariants (strictly ascending ids, every entry
-/// inside the records section) — and returns the geometry. Throws
-/// FormatError with the specific Defect otherwise. `version` is the newest
-/// format this reader understands; older versions back to 1 are accepted
-/// (the container layout is version-stable — only record payloads grew) and
-/// reported in SectionGeometry::version. `allow_tombstones` admits size-0
-/// index entries (delta tombstones, which must carry offset 0); the base
-/// registry passes false, keeping its historical behavior of rejecting
-/// nothing at the index level and failing such entries at decode.
-SectionGeometry validate_sections(std::string_view view, std::string_view magic,
-                                  std::uint32_t version, bool allow_tombstones);
+/// One device index entry; `offset` is relative to the records section.
+struct IndexEntry {
+  std::uint64_t device_id = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+  bool tombstone = false;  ///< size 0 in an image whose kind has tombstones
+};
 
-/// The producer half of validate_sections: assembles header + index +
-/// records with all three CRCs filled in. `device_count` must match the
-/// index size (index.size() == device_count * kIndexEntryBytes).
-std::string assemble_sections(std::string_view magic, std::uint32_t version,
-                              std::uint64_t device_count, std::string_view index,
-                              std::string_view records);
+/// A validated sectioned image, mapped from a file or owning its bytes.
+/// Copies share the backing bytes; all accessors are const and safe to call
+/// concurrently.
+class SectionedImage {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Validates an image end to end — magic, version, all three CRCs,
+  /// section geometry, index invariants (strictly ascending ids, every
+  /// entry inside the records section, the tombstone shape) — and adopts
+  /// it. Throws FormatError with the specific Defect otherwise.
+  static SectionedImage from_bytes(std::string bytes, const ImageKind& kind);
+
+  /// Maps the file read-only (reads it where mapping fails), then validates
+  /// exactly like from_bytes. Throws ropuf::Error when it cannot be opened.
+  static SectionedImage load_file(const std::string& path, const ImageKind& kind);
+
+  std::size_t entry_count() const { return entry_count_; }
+  std::size_t byte_size() const { return bytes_.size(); }
+
+  /// The i-th index entry (ascending device id order).
+  IndexEntry entry_at(std::size_t i) const;
+  /// Binary search over the raw index: the position of device_id, or npos.
+  std::size_t index_position(std::uint64_t device_id) const;
+  /// The record payload an entry points at (empty for a size-0 entry).
+  std::string_view payload(const IndexEntry& entry) const {
+    return bytes_.substr(records_offset_ + entry.offset, entry.size);
+  }
+
+ private:
+  SectionedImage(std::shared_ptr<const void> owner, std::string_view bytes,
+                 const ImageKind& kind);
+
+  std::shared_ptr<const void> owner_;  ///< keeps the mapping/buffer alive
+  std::string_view bytes_;
+  bool tombstones_ = false;
+  std::size_t entry_count_ = 0;
+  std::size_t records_offset_ = 0;
+};
+
+/// Stages encoded record payloads by device id and assembles them, sorted
+/// by id, into an image of one kind: the build step behind RegistryBuilder
+/// and DeltaBuilder.
+class ImageBuilder {
+ public:
+  explicit ImageBuilder(const ImageKind& kind) : kind_(kind) {}
+
+  /// Stages a record payload; an empty one (no record encodes to zero
+  /// bytes) stages a tombstone, index-only with offset 0 and size 0.
+  /// Returns false, staging nothing, when the id is already staged.
+  bool stage(std::uint64_t device_id, std::string payload) {
+    return entries_.emplace(device_id, std::move(payload)).second;
+  }
+
+  std::size_t size() const { return entries_.size(); }
+
+  /// Header + index + records with all three CRCs filled in.
+  std::string build() const;
+
+ private:
+  ImageKind kind_;
+  std::map<std::uint64_t, std::string> entries_;
+};
+
+/// The one writer of registry and delta files. Writes `bytes` to a temp
+/// file in the target's directory, fsyncs it, renames it over `path` and
+/// fsyncs the directory, so readers — including a server that mapped the
+/// old file — see the old generation or the new one, never a mix. The temp
+/// name (".ropuf-write-...") can never match discover_delta_paths. On
+/// failure the temp file is removed, `path` is untouched and ropuf::Error
+/// propagates.
+void write_file_atomic(const std::string& path, std::string_view bytes);
 
 /// Reads little-endian scalars off a byte view; any read past the end
 /// throws FormatError with the defect the caller is decoding under.

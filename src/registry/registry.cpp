@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <unordered_set>
 
 #include "auth/auth.h"
@@ -12,14 +10,6 @@
 #include "obs/metrics.h"
 #include "puf/measurement.h"
 #include "silicon/environment.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ROPUF_REGISTRY_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace ropuf::registry {
 namespace {
@@ -36,10 +26,8 @@ namespace {
 //   [64,68)  u32 header CRC32 (over bytes [0,64))
 //
 // followed by the index (kIndexEntryBytes per device, sorted by id) and the
-// records section. See docs/registry.md for the record payload layout.
-
-constexpr char kMagic[8] = {'R', 'O', 'P', 'U', 'F', 'R', 'E', 'G'};
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+// records section (format.h's SectionedImage reads and ImageBuilder writes
+// it). See docs/registry.md for the record payload layout.
 
 // Record flags (the u16 at payload offset 2, reserved-as-zero in v1).
 // Unknown bits are a kBadRecord defect so future flags cannot be silently
@@ -305,6 +293,13 @@ void validate_enrollment(const puf::ConfigurableEnrollment& e) {
   }
 }
 
+std::string encode_validated_record(const puf::ConfigurableEnrollment& e) {
+  validate_enrollment(e);
+  ByteWriter writer;
+  encode_enrollment_record(writer, e);
+  return writer.take();
+}
+
 double RegistryStats::bias_percent() const {
   return total_pairs == 0 ? 0.0
                           : 100.0 * static_cast<double>(ones) /
@@ -319,142 +314,52 @@ double RegistryStats::mean_abs_margin() const {
 
 void RegistryBuilder::add(std::uint64_t device_id,
                           puf::ConfigurableEnrollment enrollment) {
-  validate_enrollment(enrollment);
-  ROPUF_REQUIRE(ids_.insert(device_id).second,
-                "duplicate device id " + std::to_string(device_id));
-  records_.push_back(DeviceRecord{device_id, std::move(enrollment)});
-}
-
-std::string RegistryBuilder::build() const {
-  std::vector<const DeviceRecord*> sorted;
-  sorted.reserve(records_.size());
-  for (const DeviceRecord& record : records_) sorted.push_back(&record);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const DeviceRecord* a, const DeviceRecord* b) {
-              return a->device_id < b->device_id;
-            });
-
-  ByteWriter records;
-  ByteWriter index;
-  for (const DeviceRecord* record : sorted) {
-    const std::size_t offset = records.size();
-    encode_enrollment_record(records, record->enrollment);
-    index.u64(record->device_id);
-    index.u64(offset);
-    index.u64(records.size() - offset);
-  }
-  return assemble_sections(std::string_view(kMagic, sizeof(kMagic)), kFormatVersion,
-                           records_.size(), index.bytes(), records.bytes());
-}
-
-void RegistryBuilder::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ROPUF_REQUIRE(out.good(), "cannot open registry output file " + path);
-  const std::string bytes = build();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  ROPUF_REQUIRE(out.good(), "failed writing registry file " + path);
+  const bool fresh = image_.stage(device_id, encode_validated_record(enrollment));
+  ROPUF_REQUIRE(fresh, "duplicate device id " + std::to_string(device_id));
 }
 
 // ----------------------------------------------------------------- registry
 
+namespace {
+
+obs::Histogram& load_latency() {
+  static obs::Histogram& load_us =
+      obs::Registry::instance().latency_histogram("registry.load_us");
+  return load_us;
+}
+
+}  // namespace
+
+Registry::Registry(SectionedImage image) : image_(std::move(image)) {
+  static obs::Counter& loads = obs::Registry::instance().counter("registry.loads");
+  loads.add(1);
+}
+
 Registry Registry::from_bytes(std::string bytes) {
-  auto owned = std::make_shared<const std::string>(std::move(bytes));
-  const std::string_view view(*owned);
-  return adopt(owned, view);
+  const obs::ScopedLatency load_timer(load_latency());
+  return Registry(SectionedImage::from_bytes(std::move(bytes), kRegistryImage));
 }
 
 Registry Registry::load_file(const std::string& path) {
-#if ROPUF_REGISTRY_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  ROPUF_REQUIRE(fd >= 0, "cannot open registry file " + path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw Error("cannot stat registry file " + path);
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size > 0) {
-    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (addr != MAP_FAILED) {
-      std::shared_ptr<const void> owner(addr, [size](const void* p) {
-        ::munmap(const_cast<void*>(p), size);
-      });
-      return adopt(std::move(owner),
-                   std::string_view(static_cast<const char*>(addr), size));
-    }
-    // fall through to the read path (e.g. filesystems without mmap support)
-  } else {
-    ::close(fd);
-  }
-#endif
-  std::ifstream in(path, std::ios::binary);
-  ROPUF_REQUIRE(in.good(), "cannot open registry file " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  return from_bytes(std::move(bytes));
-}
-
-Registry Registry::adopt(std::shared_ptr<const void> owner, std::string_view view) {
-  static obs::Counter& loads = obs::Registry::instance().counter("registry.loads");
-  static obs::Histogram& load_us =
-      obs::Registry::instance().latency_histogram("registry.load_us");
-  const obs::ScopedLatency load_timer(load_us);
-
-  const SectionGeometry geometry =
-      validate_sections(view, std::string_view(kMagic, sizeof(kMagic)), kFormatVersion,
-                        /*allow_tombstones=*/false);
-
-  Registry registry;
-  registry.owner_ = std::move(owner);
-  registry.bytes_ = view;
-  registry.device_count_ = geometry.device_count;
-  registry.index_offset_ = geometry.index_offset;
-  registry.records_offset_ = geometry.records_offset;
-  registry.records_size_ = geometry.records_size;
-  loads.add(1);
-  return registry;
-}
-
-std::size_t Registry::index_entry_offset(std::size_t i) const {
-  return index_offset_ + i * kIndexEntryBytes;
+  const obs::ScopedLatency load_timer(load_latency());
+  return Registry(SectionedImage::load_file(path, kRegistryImage));
 }
 
 std::uint64_t Registry::device_id_at(std::size_t i) const {
-  ROPUF_REQUIRE(i < device_count_, "device index out of range");
-  return read_u64_at(bytes_, index_entry_offset(i));
-}
-
-std::size_t Registry::index_position(std::uint64_t device_id) const {
-  std::size_t lo = 0, hi = device_count_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t mid_id = read_u64_at(bytes_, index_entry_offset(mid));
-    if (mid_id == device_id) return mid;
-    if (mid_id < device_id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return kNpos;
+  return image_.entry_at(i).device_id;
 }
 
 bool Registry::contains(std::uint64_t device_id) const {
-  return index_position(device_id) != kNpos;
+  return image_.index_position(device_id) != SectionedImage::npos;
 }
 
 std::optional<puf::ConfigurableEnrollment> Registry::find(
     std::uint64_t device_id) const {
   static obs::Counter& lookups = obs::Registry::instance().counter("registry.lookups");
   lookups.add(1);
-  const std::size_t position = index_position(device_id);
-  if (position == kNpos) return std::nullopt;
-  const std::size_t entry = index_entry_offset(position);
-  const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
-  const std::uint64_t size = read_u64_at(bytes_, entry + 16);
-  return decode_enrollment_record(bytes_.substr(records_offset_ + offset, size));
+  const std::size_t position = image_.index_position(device_id);
+  if (position == SectionedImage::npos) return std::nullopt;
+  return decode_enrollment_record(image_.payload(image_.entry_at(position)));
 }
 
 puf::ConfigurableEnrollment Registry::lookup(std::uint64_t device_id) const {
@@ -466,13 +371,10 @@ puf::ConfigurableEnrollment Registry::lookup(std::uint64_t device_id) const {
 
 RegistryStats Registry::stats() const {
   RegistryStats stats;
-  stats.devices = device_count_;
-  for (std::size_t i = 0; i < device_count_; ++i) {
-    const std::size_t entry = index_entry_offset(i);
-    const std::uint64_t offset = read_u64_at(bytes_, entry + 8);
-    const std::uint64_t size = read_u64_at(bytes_, entry + 16);
+  stats.devices = device_count();
+  for (std::size_t i = 0; i < stats.devices; ++i) {
     const puf::ConfigurableEnrollment e =
-        decode_enrollment_record(bytes_.substr(records_offset_ + offset, size));
+        decode_enrollment_record(image_.payload(image_.entry_at(i)));
     (e.mode == puf::SelectionCase::kSameConfig ? stats.case1_devices
                                                : stats.case2_devices) += 1;
     if (!e.helper.empty()) stats.helper_devices += 1;

@@ -20,11 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/parallel.h"
@@ -40,6 +38,10 @@ namespace ropuf::registry {
 /// with every device unprovisioned for protocol-v2 authentication.
 inline constexpr std::uint32_t kFormatVersion = 2;
 
+/// The base registry's container kind: a size-0 index entry is no
+/// tombstone here, just a record that fails to decode.
+inline constexpr ImageKind kRegistryImage{"ROPUFREG", kFormatVersion, false};
+
 /// Encodes one device record payload (the columnar layout docs/registry.md
 /// describes) onto `writer`. Shared by RegistryBuilder and the delta-segment
 /// builder (epoch.h), so base and delta records are byte-identical for the
@@ -53,6 +55,10 @@ puf::ConfigurableEnrollment decode_enrollment_record(std::string_view payload);
 /// Structural validation of an enrollment about to be encoded (consistent
 /// layout/arity, finite margins); throws ropuf::Error on violation.
 void validate_enrollment(const puf::ConfigurableEnrollment& e);
+
+/// validate_enrollment, then encode_enrollment_record into a fresh payload:
+/// what RegistryBuilder::add and DeltaBuilder::upsert stage.
+std::string encode_validated_record(const puf::ConfigurableEnrollment& e);
 
 /// One enrolled device: the 64-bit identity the index is sorted by plus the
 /// enrollment artifact the auth service verifies against.
@@ -89,17 +95,17 @@ class RegistryBuilder {
   /// stages it. Throws ropuf::Error on a duplicate device id.
   void add(std::uint64_t device_id, puf::ConfigurableEnrollment enrollment);
 
-  std::size_t device_count() const { return records_.size(); }
+  std::size_t device_count() const { return image_.size(); }
 
   /// Serializes every staged record into the registry byte format.
-  std::string build() const;
+  std::string build() const { return image_.build(); }
 
-  /// build() straight to a file (throws ropuf::Error on I/O failure).
-  void write_file(const std::string& path) const;
+  /// build() straight to a file through write_file_atomic (throws
+  /// ropuf::Error on I/O failure).
+  void write_file(const std::string& path) const { write_file_atomic(path, build()); }
 
  private:
-  std::vector<DeviceRecord> records_;
-  std::unordered_set<std::uint64_t> ids_;
+  ImageBuilder image_{kRegistryImage};
 };
 
 /// Immutable, shareable view of a loaded registry. Copies share the backing
@@ -110,13 +116,13 @@ class Registry {
   /// (with the specific Defect) on any structural problem.
   static Registry from_bytes(std::string bytes);
 
-  /// Single-mmap-or-read load: the file is mapped read-only where the
-  /// platform supports it and read into memory otherwise, then validated
-  /// exactly like from_bytes.
+  /// Single-mmap-or-read load through SectionedImage::load_file: the file
+  /// is mapped read-only (read into memory where mapping fails), then
+  /// validated exactly like from_bytes.
   static Registry load_file(const std::string& path);
 
-  std::size_t device_count() const { return device_count_; }
-  std::size_t byte_size() const { return bytes_.size(); }
+  std::size_t device_count() const { return image_.entry_count(); }
+  std::size_t byte_size() const { return image_.byte_size(); }
 
   /// Device id of the i-th index entry (ascending order).
   std::uint64_t device_id_at(std::size_t i) const;
@@ -135,20 +141,9 @@ class Registry {
   RegistryStats stats() const;
 
  private:
-  Registry() = default;
-  /// Shared validation behind from_bytes and load_file.
-  static Registry adopt(std::shared_ptr<const void> owner, std::string_view bytes);
-  /// Byte offset of index entry i within bytes_.
-  std::size_t index_entry_offset(std::size_t i) const;
-  /// Index position of device_id, or npos.
-  std::size_t index_position(std::uint64_t device_id) const;
+  explicit Registry(SectionedImage image);
 
-  std::shared_ptr<const void> owner_;  ///< keeps the mapping/buffer alive
-  std::string_view bytes_;
-  std::size_t device_count_ = 0;
-  std::size_t index_offset_ = 0;
-  std::size_t records_offset_ = 0;
-  std::size_t records_size_ = 0;
+  SectionedImage image_;
 };
 
 /// Knobs of the bulk fleet importer: devices are minted through sil::Fab

@@ -16,6 +16,9 @@ namespace {
 /// the magnitude only matters to glitch scaling, not to any verdict.
 constexpr double kNominalReadPs = 1000.0;
 
+/// Requests per parallel chunk in a verify batch.
+constexpr std::size_t kBatchGrain = 64;
+
 std::uint64_t mix_id(std::uint64_t id) {
   // SplitMix64 finalizer: spreads sequential ids across shards.
   id += 0x9e3779b97f4a7c15ull;
@@ -159,7 +162,6 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
       unknown_cache_(options.unknown_cache_capacity, "service.unknown_cache") {
   ROPUF_REQUIRE(epochs_ != nullptr, "null epoch registry");
   ROPUF_REQUIRE(options_.response_bits > 0, "response_bits must be positive");
-  ROPUF_REQUIRE(options_.batch_grain > 0, "batch_grain must be positive");
   ROPUF_REQUIRE(options_.admission_shards > 0, "admission_shards must be positive");
   ROPUF_REQUIRE(!options_.admission.enabled() ||
                     options_.admission.device_capacity >= options_.admission_shards,
@@ -345,7 +347,7 @@ std::vector<AuthVerdict> AuthService::verify_each(std::size_t count,
       epochs_->snapshot();
   return parallel_transform<AuthVerdict>(
       count, options_.threads, [&](std::size_t i) { return verify_one(*snapshot, i); },
-      options_.batch_grain);
+      kBatchGrain);
 }
 
 std::vector<AuthVerdict> AuthService::verify_batch(

@@ -148,8 +148,6 @@ struct AuthServiceOptions {
   /// Kept apart from cache_capacity so a spray of never-enrolled ids
   /// competes only with other unknown ids, never with real enrollments.
   std::size_t unknown_cache_capacity = 256;
-  /// Requests per parallel chunk in verify_batch.
-  std::size_t batch_grain = 64;
   /// Per-device admission control (all-off by default; see admission.h).
   AdmissionOptions admission;
   /// Admission state partitions. 1 (the default) keeps the single global

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +110,27 @@ Defect delta_defect_of(const std::string& bytes) {
   }
   ADD_FAILURE() << "expected a FormatError";
   return Defect::kTruncated;
+}
+
+/// The defect any loader call raises.
+template <typename Load>
+Defect defect_of(Load load) {
+  try {
+    load();
+  } catch (const FormatError& e) {
+    return e.defect();
+  }
+  ADD_FAILURE() << "expected a FormatError";
+  return Defect::kTruncated;
+}
+
+std::vector<std::string> listing(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 // ----------------------------------------------------------- delta segment
@@ -212,6 +235,34 @@ TEST(DeltaSegment, CorruptionTaxonomy) {
     repatch_crcs(bytes);
     ASSERT_NO_THROW(DeltaSegment::from_bytes(bytes));
   }
+}
+
+TEST(SharedOpener, SizeZeroEntryIsABadRecordInABaseAndATombstoneInADelta) {
+  DeltaBuilder builder;
+  builder.upsert(7, sample_enrollment(7));
+  builder.retire(9);
+  const std::string delta_bytes = builder.build();
+  const std::size_t tombstone_entry = kDeltaHeaderBytes + kDeltaIndexEntry;
+  ASSERT_EQ(peek_u64(delta_bytes, tombstone_entry), 9u);
+  ASSERT_EQ(peek_u64(delta_bytes, tombstone_entry + 8), 0u);
+  ASSERT_EQ(peek_u64(delta_bytes, tombstone_entry + 16), 0u);
+
+  // The same index under the base magic: the entry loads, and only its
+  // decode fails.
+  std::string base_bytes = delta_bytes;
+  base_bytes.replace(0, 8, "ROPUFREG");
+  poke_u32(base_bytes, kHeaderCrcOffset,
+           crc32(std::string_view(base_bytes).substr(0, kDeltaHeaderCrcSpan)));
+  const Registry base = Registry::from_bytes(base_bytes);
+  ASSERT_EQ(base.device_count(), 2u);
+  EXPECT_TRUE(base.contains(9));
+  EXPECT_EQ(defect_of([&] { (void)base.find(9); }), Defect::kBadRecord);
+  EXPECT_EQ(enrollment_image(base.lookup(7)), enrollment_image(sample_enrollment(7)));
+
+  const DeltaSegment delta = DeltaSegment::from_bytes(delta_bytes);
+  EXPECT_EQ(delta.tombstone_count(), 1u);
+  EXPECT_TRUE(delta.tombstone_at(1));
+  EXPECT_EQ(delta.find(9, nullptr), DeltaSegment::Hit::kTombstone);
 }
 
 TEST(DeltaSegment, UnsortedIndexIsBadIndex) {
@@ -478,6 +529,89 @@ TEST_F(EpochFilesTest, LoadEpochFilesFeedsAServableHead) {
   EXPECT_EQ(epochs.epoch(), 2u);
   EXPECT_EQ(epochs.device_count(), 4u);
   EXPECT_TRUE(epochs.snapshot()->contains(95));
+}
+
+TEST_F(EpochFilesTest, EachLoaderRejectsTheOtherFormatsMagic) {
+  DeltaBuilder builder;
+  builder.upsert(95, sample_enrollment(95));
+  builder.write_file(delta_path(1));
+  RegistryBuilder base;
+  for (std::uint64_t d = 1; d <= 3; ++d) base.add(10 * d, sample_enrollment(10 * d));
+
+  EXPECT_EQ(delta_defect_of(base.build()), Defect::kBadMagic);
+  EXPECT_EQ(defect_of([&] { DeltaSegment::load_file(base_path_); }), Defect::kBadMagic);
+  EXPECT_EQ(defect_of([&] { Registry::from_bytes(builder.build()); }),
+            Defect::kBadMagic);
+  EXPECT_EQ(defect_of([&] { Registry::load_file(delta_path(1)); }), Defect::kBadMagic);
+}
+
+TEST_F(EpochFilesTest, EmptyFileIsTruncatedForEitherLoader) {
+  // Nothing to map: the opener reads the file instead and validates it
+  // like from_bytes("").
+  const std::string empty = (dir_ / "empty").string();
+  std::ofstream(empty, std::ios::binary).close();
+  EXPECT_EQ(defect_of([&] { Registry::load_file(empty); }), Defect::kTruncated);
+  EXPECT_EQ(defect_of([&] { DeltaSegment::load_file(empty); }), Defect::kTruncated);
+}
+
+TEST_F(EpochFilesTest, DeltaLoadFileAgreesWithFromBytes) {
+  DeltaBuilder builder;
+  for (std::uint64_t id = 100; id < 140; id += 2) builder.upsert(id, sample_enrollment(id));
+  for (std::uint64_t id = 101; id < 140; id += 4) builder.retire(id);
+  builder.write_file(delta_path(1));
+
+  const DeltaSegment mapped = DeltaSegment::load_file(delta_path(1));
+  const DeltaSegment owned = DeltaSegment::from_bytes(builder.build());
+  ASSERT_EQ(mapped.entry_count(), owned.entry_count());
+  EXPECT_EQ(mapped.tombstone_count(), owned.tombstone_count());
+  EXPECT_EQ(mapped.tombstone_count(), 10u);
+  for (std::uint64_t id = 95; id < 145; ++id) {
+    std::optional<puf::ConfigurableEnrollment> from_file;
+    std::optional<puf::ConfigurableEnrollment> from_memory;
+    const DeltaSegment::Hit hit = mapped.find(id, &from_file);
+    ASSERT_EQ(hit, owned.find(id, &from_memory)) << id;
+    if (hit == DeltaSegment::Hit::kUpsert) {
+      EXPECT_EQ(enrollment_image(*from_file), enrollment_image(*from_memory)) << id;
+    }
+  }
+}
+
+TEST_F(EpochFilesTest, RewritingAMappedBaseKeepsTheMappedGeneration) {
+  // A served base stays mapped. Truncating its file in place would make
+  // the next lookup past the new end of file die with SIGBUS, so the
+  // writer must replace the file and leave the mapped inode whole.
+  const std::string path = (dir_ / "served.ropufreg").string();
+  RegistryBuilder big;
+  for (std::uint64_t d = 1; d <= 512; ++d) big.add(d, sample_enrollment(d));
+  big.write_file(path);
+  const Registry served = Registry::load_file(path);
+
+  RegistryBuilder small;
+  for (std::uint64_t d = 1; d <= 8; ++d) small.add(1000 + d, sample_enrollment(1000 + d));
+  small.write_file(path);
+
+  ASSERT_EQ(served.device_count(), 512u);
+  for (std::uint64_t d = 1; d <= 512; ++d) {
+    EXPECT_EQ(encode_validated_record(served.lookup(d)),
+              encode_validated_record(sample_enrollment(d)))
+        << d;
+  }
+  EXPECT_EQ(Registry::load_file(path).device_count(), 8u);
+  EXPECT_EQ(listing(dir_), (std::vector<std::string>{"fleet.ropufreg", "served.ropufreg"}));
+}
+
+TEST_F(EpochFilesTest, FailedWriteLeavesTheTargetAndNoTempFile) {
+  // Renaming a file over a directory fails only after the temp file is
+  // written and synced, so this reaches the writer's last failure point.
+  const std::filesystem::path occupied = dir_ / "occupied";
+  std::filesystem::create_directory(occupied);
+  const std::vector<std::string> before = listing(dir_);
+  EXPECT_THROW(write_file_atomic(occupied.string(), "bytes"), ropuf::Error);
+  EXPECT_TRUE(std::filesystem::is_directory(occupied));
+  EXPECT_EQ(listing(dir_), before);
+  EXPECT_THROW(write_file_atomic((dir_ / "absent" / "f").string(), "bytes"),
+               ropuf::Error);
+  EXPECT_EQ(listing(dir_), before);
 }
 
 TEST_F(EpochFilesTest, MissingBaseOrCorruptDeltaFailsTheWholeLoad) {

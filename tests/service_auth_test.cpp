@@ -330,7 +330,6 @@ TEST(AuthService, BatchVerdictsAreBitIdenticalAtAnyThreadBudget) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     AuthServiceOptions options = small_options();
     options.threads = ThreadBudget(threads);
-    options.batch_grain = 16;
     const AuthService service(&registry, options);
     const auto requests = synthesize_workload(registry, options, spec);
     const auto verdicts = service.verify_batch(requests);

@@ -385,22 +385,10 @@ int cmd_registry_build(const Args& args) {
   // Minting path: fabricate and enroll a synthetic fleet on the pool.
   const registry::FleetSpec spec = fleet_spec_from_args(args);
   const std::string bytes = registry::build_fleet_registry(spec);
-  std::ofstream file(out, std::ios::binary);
-  ROPUF_REQUIRE(file.good(), "cannot open output file " + out);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ROPUF_REQUIRE(file.good(), "failed writing " + out);
+  registry::write_file_atomic(out, bytes);
   std::printf("minted %zu devices -> %s (%zu bytes)\n", spec.devices, out.c_str(),
               bytes.size());
   return 0;
-}
-
-/// Writes registry/delta bytes with the strict error handling the other
-/// file-producing commands use.
-void write_binary_file(const std::string& path, const std::string& bytes) {
-  std::ofstream file(path, std::ios::binary);
-  ROPUF_REQUIRE(file.good(), "cannot open output file " + path);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ROPUF_REQUIRE(file.good(), "failed writing " + path);
 }
 
 /// Strict u64 parse for the comma-separated --retire list.
@@ -455,11 +443,7 @@ int cmd_registry_append(const Args& args) {
 
   const registry::DeltaSegment delta = registry::DeltaSegment::load_file(out);
   files.deltas.push_back(delta);
-  // The epoch count must be taken before the call: argument evaluation
-  // order is unspecified, so reading files.deltas.size() in the same call
-  // that moves the vector away could observe the moved-from state.
-  const std::uint64_t epoch = 1 + files.deltas.size();
-  const registry::RegistrySnapshot snapshot(epoch, std::move(files.base),
+  const registry::RegistrySnapshot snapshot(std::move(files.base),
                                             std::move(files.deltas));
   std::printf("appended %zu upserts, %zu tombstones -> %s (%zu bytes)\n",
               delta.upsert_count(), delta.tombstone_count(), out.c_str(),
@@ -477,20 +461,22 @@ int cmd_registry_compact(const Args& args) {
   const std::string out = args.get("out", base_path);
   const std::vector<std::string> merged_paths = std::move(files.delta_paths);
 
-  const std::size_t delta_count = files.deltas.size();
-  const registry::RegistrySnapshot snapshot(1 + delta_count, std::move(files.base),
+  const registry::RegistrySnapshot snapshot(std::move(files.base),
                                             std::move(files.deltas));
   const std::string bytes = registry::compact_snapshot(snapshot);
-  write_binary_file(out, bytes);
+  registry::write_file_atomic(out, bytes);
   // Compacting in place retires the merged deltas — they are now folded
   // into the base. (Re-reading them against the compacted base would be
-  // harmless anyway: re-applying a merged delta is the identity.) With
-  // --out elsewhere the original generation stays untouched.
+  // harmless anyway: re-applying a merged delta is the identity.) A live
+  // server keeps serving the generation it mapped until its next SIGHUP,
+  // because the base was replaced by rename, not rewritten. With --out
+  // elsewhere the original generation stays untouched.
   if (out == base_path) {
     for (const std::string& path : merged_paths) std::filesystem::remove(path);
   }
   std::printf("compacted %zu deltas into %zu devices -> %s (%zu bytes)\n",
-              delta_count, snapshot.device_count(), out.c_str(), bytes.size());
+              snapshot.deltas().size(), snapshot.device_count(), out.c_str(),
+              bytes.size());
   return 0;
 }
 
@@ -506,8 +492,7 @@ int cmd_registry_epochs(const Args& args) {
                 files.delta_paths[i].c_str(), delta.upsert_count(),
                 delta.tombstone_count(), delta.byte_size());
   }
-  const std::uint64_t epoch = 1 + files.deltas.size();  // before the move below
-  const registry::RegistrySnapshot snapshot(epoch, std::move(files.base),
+  const registry::RegistrySnapshot snapshot(std::move(files.base),
                                             std::move(files.deltas));
   std::printf("epoch %llu: %zu live devices\n",
               static_cast<unsigned long long>(snapshot.epoch()),

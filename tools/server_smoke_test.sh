@@ -17,9 +17,10 @@
 # concurrently — the v1 digest must stay byte-identical and the v2 digest
 # must match offline `auth-batch --protocol 2`), and a reload phase that
 # serves from an on-disk registry, appends a delta segment with ropuf_cli
-# registry-append, sends SIGHUP, and requires the server to report the new
-# epoch while verdicts for the untouched base devices stay byte-identical
-# across the swap.
+# registry-append, sends SIGHUP, compacts the generation in place under the
+# live server, and sends SIGHUP again; it requires the server to report each
+# new epoch while verdicts for the untouched base devices stay byte-identical
+# across both swaps and the rewrite between them.
 #
 # Usage: server_smoke_test.sh <ropuf_serve> <ropuf_cli> <workdir>
 set -euo pipefail
@@ -206,9 +207,26 @@ if ! grep -q 'reloaded: epoch 2' "$LOG"; then
   exit 1
 fi
 
+# Compact in place under the live server before any client touches epoch 2
+# (a client would warm the cache and hide a torn base). The writer replaces
+# the base by rename, so the served epoch keeps the generation it mapped.
+"$CLI" registry-compact --registry "$REG" >/dev/null
 run_client reload_after
+
+# A second SIGHUP picks up the compacted base: epoch 3, same verdicts.
+kill -HUP "$SRV"
+for _ in $(seq 100); do
+  grep -q 'reloaded: epoch 3' "$LOG" && break
+  sleep 0.1
+done
+if ! grep -q 'reloaded: epoch 3' "$LOG"; then
+  echo "FAIL(reload): server never reported epoch 3 after compaction and SIGHUP"
+  cat "$LOG"
+  exit 1
+fi
+run_client reload_compacted
 stop_server reload
-echo "PASS(reload): $LAST_DIGEST (digest stable across SIGHUP epoch swap)"
+echo "PASS(reload): $LAST_DIGEST (digest stable across SIGHUP, in-place compaction, SIGHUP)"
 
 # ------------------------------------------------- cross-phase epoch parity
 for ENTRY in $EPOCHS_SEEN; do
