@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "crypto/fuzzy_extractor.h"
-#include "crypto/hmac.h"
 
 namespace ropuf::auth {
 namespace {
@@ -52,6 +51,17 @@ std::array<std::uint8_t, 32> proof_message(const Nonce& nonce,
     message[24 + i] = static_cast<std::uint8_t>((device_id >> (8 * i)) & 0xff);
   }
   return message;
+}
+
+/// The nonce factory's HMAC key: SHA-256 of the seed's 8 little-endian
+/// bytes.
+crypto::HmacSha256Key nonce_key(std::uint64_t seed) {
+  std::array<std::uint8_t, 8> bytes{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>((seed >> (8 * i)) & 0xff);
+  }
+  const crypto::Sha256Digest key = crypto::sha256(bytes.data(), bytes.size());
+  return crypto::HmacSha256Key(key.data(), key.size());
 }
 
 }  // namespace
@@ -126,19 +136,31 @@ std::optional<crypto::Sha256Digest> recover_key(
   return key;
 }
 
-Tag prove(const crypto::Sha256Digest& key, const Nonce& nonce,
+Tag prove(const crypto::HmacSha256Key& key, const Nonce& nonce,
           std::uint64_t request_id, std::uint64_t device_id) {
   const std::array<std::uint8_t, 32> message =
       proof_message(nonce, request_id, device_id);
-  return crypto::hmac_sha256(key.data(), key.size(), message.data(),
-                             message.size());
+  return key.mac(message.data(), message.size());
+}
+
+Tag prove(const crypto::Sha256Digest& key, const Nonce& nonce,
+          std::uint64_t request_id, std::uint64_t device_id) {
+  return prove(crypto::HmacSha256Key(key.data(), key.size()), nonce, request_id,
+               device_id);
+}
+
+bool verify_tag(const crypto::HmacSha256Key& key, const Nonce& nonce,
+                std::uint64_t request_id, std::uint64_t device_id,
+                const Tag& tag) {
+  const Tag expected = prove(key, nonce, request_id, device_id);
+  return constant_time_equal(expected.data(), tag.data(), expected.size());
 }
 
 bool verify_tag(const crypto::Sha256Digest& key, const Nonce& nonce,
                 std::uint64_t request_id, std::uint64_t device_id,
                 const Tag& tag) {
-  const Tag expected = prove(key, nonce, request_id, device_id);
-  return constant_time_equal(expected.data(), tag.data(), expected.size());
+  return verify_tag(crypto::HmacSha256Key(key.data(), key.size()), nonce,
+                    request_id, device_id, tag);
 }
 
 bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
@@ -150,13 +172,7 @@ bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
   return acc == 0;
 }
 
-NonceFactory::NonceFactory(std::uint64_t seed) {
-  std::array<std::uint8_t, 8> bytes{};
-  for (std::size_t i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>((seed >> (8 * i)) & 0xff);
-  }
-  seed_key_ = crypto::sha256(bytes.data(), bytes.size());
-}
+NonceFactory::NonceFactory(std::uint64_t seed) : seed_key_(nonce_key(seed)) {}
 
 Nonce NonceFactory::next(std::uint64_t device_id, std::uint64_t request_id) {
   const std::uint64_t count =
@@ -167,8 +183,7 @@ Nonce NonceFactory::next(std::uint64_t device_id, std::uint64_t request_id) {
     message[8 + i] = static_cast<std::uint8_t>((device_id >> (8 * i)) & 0xff);
     message[16 + i] = static_cast<std::uint8_t>((request_id >> (8 * i)) & 0xff);
   }
-  const crypto::Sha256Digest digest = crypto::hmac_sha256(
-      seed_key_.data(), seed_key_.size(), message.data(), message.size());
+  const crypto::Sha256Digest digest = seed_key_.mac(message.data(), message.size());
   Nonce nonce{};
   std::memcpy(nonce.data(), digest.data(), nonce.size());
   return nonce;

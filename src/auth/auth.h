@@ -37,6 +37,7 @@
 #include "common/bitvec.h"
 #include "common/rng.h"
 #include "crypto/cyclic_code.h"
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "puf/schemes.h"
 
@@ -88,10 +89,20 @@ std::optional<crypto::Sha256Digest> recover_key(
     const BitVec& noisy_response, const puf::ConfigurableEnrollment& enrollment);
 
 /// HMAC(key, nonce || request_id || device_id), ids little-endian.
+Tag prove(const crypto::HmacSha256Key& key, const Nonce& nonce,
+          std::uint64_t request_id, std::uint64_t device_id);
+
+/// Same, for a raw key: builds the key object on every call. Callers that
+/// prove or verify under one key many times keep an HmacSha256Key.
 Tag prove(const crypto::Sha256Digest& key, const Nonce& nonce,
           std::uint64_t request_id, std::uint64_t device_id);
 
 /// Constant-time tag comparison (no early-out on the first differing byte).
+bool verify_tag(const crypto::HmacSha256Key& key, const Nonce& nonce,
+                std::uint64_t request_id, std::uint64_t device_id,
+                const Tag& tag);
+
+/// Same, for a raw key.
 bool verify_tag(const crypto::Sha256Digest& key, const Nonce& nonce,
                 std::uint64_t request_id, std::uint64_t device_id,
                 const Tag& tag);
@@ -101,8 +112,9 @@ bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
                          std::size_t size);
 
 /// Deterministic nonce source: nonce = first 16 bytes of
-/// HMAC(seed, counter || device_id || request_id) over an atomic counter,
-/// so every challenge is fresh (replays fail) while a fixed seed makes test
+/// HMAC(SHA-256(seed), counter || device_id || request_id) over an atomic
+/// counter, where the seed and all three fields are 8 little-endian bytes.
+/// Every challenge is fresh (replays fail) while a fixed seed makes test
 /// transcripts reproducible. Verdicts never depend on nonce *values* — a
 /// recovered key MACs any nonce correctly — which is what keeps online
 /// digests parity-comparable across shard placements and thread budgets.
@@ -114,7 +126,7 @@ class NonceFactory {
   Nonce next(std::uint64_t device_id, std::uint64_t request_id);
 
  private:
-  crypto::Sha256Digest seed_key_{};
+  crypto::HmacSha256Key seed_key_;
   std::atomic<std::uint64_t> counter_{0};
 };
 

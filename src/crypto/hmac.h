@@ -16,7 +16,29 @@
 
 namespace ropuf::crypto {
 
-/// HMAC-SHA256 of `data` under `key` (any key length).
+/// HMAC-SHA256 under one fixed key. The constructor folds the key's ipad
+/// and opad blocks into two SHA-256 midstates, so mac() only finishes
+/// them: one inner and one outer compression for messages of up to 55
+/// bytes, and no heap allocation at any length. Immutable after
+/// construction, so one object may serve concurrent callers.
+class HmacSha256Key {
+ public:
+  /// Any key length. `compress` defaults to the process's choice; tests
+  /// pass each implementation to pin them all to the same bytes.
+  HmacSha256Key(const std::uint8_t* key, std::size_t key_size,
+                Sha256Compress compress = sha256_compress());
+
+  /// HMAC-SHA256 of `data` under this key.
+  Sha256Digest mac(const std::uint8_t* data, std::size_t size) const;
+
+ private:
+  Sha256State inner_;  ///< state after the block K' ^ ipad
+  Sha256State outer_;  ///< state after the block K' ^ opad
+  Sha256Compress compress_;
+};
+
+/// HMAC-SHA256 of `data` under `key` (any key length): builds the key
+/// object and MACs once. Callers that reuse a key keep an HmacSha256Key.
 Sha256Digest hmac_sha256(const std::uint8_t* key, std::size_t key_size,
                          const std::uint8_t* data, std::size_t data_size);
 

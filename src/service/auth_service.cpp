@@ -248,12 +248,15 @@ EnrollmentCache::Entry AuthService::resolve_lookup(
     if (found.has_value()) {
       resolved->enrollment = std::move(*found);
       // Derive the v2 verification key once per (device, epoch): Rep over
-      // the clean enrollment response plus the KCV cross-check. Leaving it
-      // disengaged (unprovisioned record or tampered auth material) is
-      // itself a cached outcome — every proof against it answers
-      // kCorruptRecord without touching the extractor again.
+      // the clean enrollment response plus the KCV cross-check, kept as its
+      // HMAC midstates. Leaving it disengaged (unprovisioned record or
+      // tampered auth material) is itself a cached outcome — every proof
+      // against it answers kCorruptRecord without touching the extractor
+      // again.
       if (resolved->enrollment->has_auth()) {
-        resolved->auth_key = auth::derive_enrollment_key(*resolved->enrollment);
+        const std::optional<crypto::Sha256Digest> key =
+            auth::derive_enrollment_key(*resolved->enrollment);
+        if (key.has_value()) resolved->auth_key.emplace(key->data(), key->size());
       }
     } else {
       resolved->outcome = CachedLookup::Outcome::kUnknownDevice;

@@ -182,12 +182,13 @@ struct CachedLookup {
   };
   Outcome outcome = Outcome::kEnrolled;
   std::optional<puf::ConfigurableEnrollment> enrollment;
-  /// The protocol-v2 verification key, derived once at resolve time for
-  /// provisioned records (Rep over the clean enrollment response + KCV
-  /// cross-check). Disengaged when the record is unprovisioned or its auth
-  /// material fails the cross-check — proofs against it answer
-  /// kCorruptRecord without re-running the extractor per request.
-  std::optional<crypto::Sha256Digest> auth_key;
+  /// The protocol-v2 verification key as its HMAC midstates, derived once
+  /// at resolve time for provisioned records (Rep over the clean enrollment
+  /// response + KCV cross-check), so a tag check costs two compressions.
+  /// Disengaged when the record is unprovisioned or its auth material fails
+  /// the cross-check — proofs against it answer kCorruptRecord without
+  /// re-running the extractor per request.
+  std::optional<crypto::HmacSha256Key> auth_key;
   /// Registry epoch the lookup was resolved under. An entry only answers
   /// for its own epoch: a swap (delta append, compaction, SIGHUP reload)
   /// makes every older entry stale, so a replaced record can never serve

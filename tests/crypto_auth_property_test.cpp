@@ -21,6 +21,7 @@
 
 #include <cstdlib>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -234,6 +235,43 @@ TEST(AuthProof, ProveVerifyRoundTripAndBindings) {
 
   // An all-zeros tag (the keyless prover's answer) never verifies.
   EXPECT_FALSE(auth::verify_tag(key, nonce, 41, 7, auth::Tag{}));
+}
+
+template <std::size_t N>
+std::string hex(const std::array<std::uint8_t, N>& bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t byte : bytes) {
+    out.push_back(kHex[byte >> 4]);
+    out.push_back(kHex[byte & 0xf]);
+  }
+  return out;
+}
+
+TEST(AuthWireBytes, NonceAndTagBytesArePinned) {
+  // The online-vs-offline parity tests run one HMAC on both sides, so an
+  // error both sides share passes them; only fixed bytes catch it.
+  auth::NonceFactory nonces(0x5eed);
+  EXPECT_EQ(hex(nonces.next(7, 41)), "908548a985b9019ce63e8605bc940297");
+  EXPECT_EQ(hex(nonces.next(7, 41)), "1d66bbcf6149ec694a3a67a61f1158bb");
+
+  crypto::Sha256Digest key{};
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i);
+  auth::Nonce nonce{};
+  for (std::size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<std::uint8_t>(0xa0 + i);
+  }
+  const std::string expected =
+      "4efd10d76bb79f1b9128367901b8ff2d283cb194f28802d15806b61e1db33fe0";
+  const auth::Tag tag = auth::prove(key, nonce, 41, 7);
+  EXPECT_EQ(hex(tag), expected);
+  EXPECT_TRUE(auth::verify_tag(key, nonce, 41, 7, tag));
+
+  // The key-object overloads the server uses answer the same bytes.
+  const crypto::HmacSha256Key key_object(key.data(), key.size());
+  EXPECT_EQ(hex(auth::prove(key_object, nonce, 41, 7)), expected);
+  EXPECT_TRUE(auth::verify_tag(key_object, nonce, 41, 7, tag));
+  EXPECT_FALSE(auth::verify_tag(key_object, nonce, 42, 7, tag));
 }
 
 TEST(AuthNonces, FactoryIsSeededDeterministicAndCounterFresh) {

@@ -41,6 +41,7 @@
 
 #include "cli_common.h"
 #include "common/error.h"
+#include "crypto/sha256.h"
 #include "net/server.h"
 #include "registry/epoch.h"
 
@@ -149,14 +150,17 @@ int serve(const Args& args) {
     file << port << "\n";
     ROPUF_REQUIRE(file.flush().good(), "failed writing port file " + path);
   }
+  // The SHA-256 compression in use prices every v2 nonce and tag check.
   if (server.shard_count() > 1) {
-    std::printf("serving %zu devices on %s:%u (%zu shards, epoch %llu)\n",
+    std::printf("serving %zu devices on %s:%u (%zu shards, epoch %llu, sha256 %s)\n",
                 epochs.device_count(), opts.bind_address.c_str(), port,
-                server.shard_count(), static_cast<unsigned long long>(epochs.epoch()));
+                server.shard_count(), static_cast<unsigned long long>(epochs.epoch()),
+                crypto::sha256_compression_name());
   } else {
-    std::printf("serving %zu devices on %s:%u (epoch %llu)\n", epochs.device_count(),
-                opts.bind_address.c_str(), port,
-                static_cast<unsigned long long>(epochs.epoch()));
+    std::printf("serving %zu devices on %s:%u (epoch %llu, sha256 %s)\n",
+                epochs.device_count(), opts.bind_address.c_str(), port,
+                static_cast<unsigned long long>(epochs.epoch()),
+                crypto::sha256_compression_name());
   }
   std::fflush(stdout);
 
