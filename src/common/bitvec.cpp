@@ -1,11 +1,71 @@
 #include "common/bitvec.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/error.h"
 #include "common/hamming.h"
 
 namespace ropuf {
 
-BitVec::BitVec(std::size_t n) : words_((n + kWordBits - 1) / kWordBits, 0), size_(n) {}
+std::size_t BitVec::capacity_for(std::size_t bits) {
+  return bits <= kWordBits ? 1 : std::bit_ceil(words_for(bits));
+}
+
+BitVec::BitVec(std::size_t n) : size_(n) {
+  if (!is_inline()) heap_ = new std::uint64_t[capacity_for(n)]();
+}
+
+BitVec::BitVec(const BitVec& other) : size_(other.size_) {
+  if (is_inline()) {
+    inline_ = other.inline_;
+    return;
+  }
+  heap_ = new std::uint64_t[capacity_for(size_)]();
+  std::copy_n(other.heap_, word_count(), heap_);
+}
+
+BitVec::BitVec(BitVec&& other) noexcept : size_(other.size_) {
+  if (is_inline()) {
+    inline_ = other.inline_;
+  } else {
+    heap_ = other.heap_;
+  }
+  other.size_ = 0;
+  other.inline_ = 0;
+}
+
+BitVec& BitVec::operator=(const BitVec& other) {
+  if (this == &other) return *this;
+  if (is_inline() || capacity_for(size_) != capacity_for(other.size_)) {
+    *this = BitVec(other);
+    return *this;
+  }
+  // Same heap block size: copy into it, and zero the words past the copy
+  // (bits past size() stay zero).
+  size_ = other.size_;
+  std::copy_n(other.heap_, word_count(), heap_);
+  std::fill(heap_ + word_count(), heap_ + capacity_for(size_), std::uint64_t{0});
+  return *this;
+}
+
+BitVec& BitVec::operator=(BitVec&& other) noexcept {
+  if (this == &other) return *this;
+  if (!is_inline()) delete[] heap_;
+  size_ = other.size_;
+  if (is_inline()) {
+    inline_ = other.inline_;
+  } else {
+    heap_ = other.heap_;
+  }
+  other.size_ = 0;
+  other.inline_ = 0;
+  return *this;
+}
+
+BitVec::~BitVec() {
+  if (!is_inline()) delete[] heap_;
+}
 
 BitVec BitVec::from_string(const std::string& bits) {
   BitVec v(bits.size());
@@ -27,22 +87,30 @@ BitVec BitVec::from_bits(const std::vector<int>& bits) {
 
 bool BitVec::get(std::size_t i) const {
   ROPUF_REQUIRE(i < size_, "BitVec index out of range");
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
+  return (data()[i / kWordBits] >> (i % kWordBits)) & 1u;
 }
 
 void BitVec::set(std::size_t i, bool value) {
   ROPUF_REQUIRE(i < size_, "BitVec index out of range");
   const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
   if (value) {
-    words_[i / kWordBits] |= mask;
+    data()[i / kWordBits] |= mask;
   } else {
-    words_[i / kWordBits] &= ~mask;
+    data()[i / kWordBits] &= ~mask;
   }
 }
 
 void BitVec::push_back(bool value) {
-  ++size_;
-  if (word_count() > words_.size()) words_.push_back(0);
+  const std::size_t grown = size_ + 1;
+  if (grown > kWordBits && capacity_for(grown) != capacity_for(size_)) {
+    // Leaving the inline word, or a full power-of-two heap block: move the
+    // words into a zeroed block twice the size.
+    auto* words = new std::uint64_t[capacity_for(grown)]();
+    std::copy_n(data(), word_count(), words);
+    if (!is_inline()) delete[] heap_;
+    heap_ = words;
+  }
+  size_ = grown;
   set(size_ - 1, value);
 }
 
@@ -51,13 +119,13 @@ void BitVec::append(const BitVec& other) {
 }
 
 std::size_t BitVec::popcount() const {
-  return static_cast<std::size_t>(popcount_words(words_.data(), words_.size()));
+  return static_cast<std::size_t>(popcount_words(data(), word_count()));
 }
 
 std::size_t BitVec::hamming_distance(const BitVec& other) const {
   ROPUF_REQUIRE(size_ == other.size_, "Hamming distance requires equal sizes");
   return static_cast<std::size_t>(
-      hamming_distance_words(words_.data(), other.words_.data(), words_.size()));
+      hamming_distance_words(data(), other.data(), word_count()));
 }
 
 std::string BitVec::to_string() const {
@@ -71,17 +139,23 @@ std::string BitVec::to_string() const {
 BitVec BitVec::operator^(const BitVec& other) const {
   ROPUF_REQUIRE(size_ == other.size_, "XOR requires equal sizes");
   BitVec out(size_);
-  for (std::size_t w = 0; w < words_.size(); ++w) out.words_[w] = words_[w] ^ other.words_[w];
+  std::uint64_t* words = out.data();
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = other.data();
+  for (std::size_t w = 0; w < word_count(); ++w) words[w] = a[w] ^ b[w];
   return out;
 }
 
 bool BitVec::operator==(const BitVec& other) const {
-  return size_ == other.size_ && words_ == other.words_;
+  return size_ == other.size_ && std::equal(data(), data() + word_count(), other.data());
 }
 
 bool BitVec::operator<(const BitVec& other) const {
+  // Equal sizes compare word by word, least significant word first, as
+  // unsigned integers.
   if (size_ != other.size_) return size_ < other.size_;
-  return words_ < other.words_;
+  return std::lexicographical_compare(data(), data() + word_count(), other.data(),
+                                      other.data() + other.word_count());
 }
 
 std::vector<int> BitVec::to_bits() const {

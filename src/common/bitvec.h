@@ -3,11 +3,14 @@
 // Responses in this library are short (tens to a few hundred bits) but are
 // compared pairwise in large batches (Fig. 3, Tables III/IV need ~4.8M
 // Hamming distances), so the representation packs bits into 64-bit words and
-// computes Hamming distance with popcount.
+// computes Hamming distance with popcount. Up to 64 bits live inline in the
+// object itself: a 16-bit request response, a 5-bit RO configuration and
+// the enrolled bits of a small board allocate nothing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,12 @@ class BitVec {
 
   /// Constructs an all-zero vector of `n` bits.
   explicit BitVec(std::size_t n);
+
+  BitVec(const BitVec& other);
+  BitVec(BitVec&& other) noexcept;
+  BitVec& operator=(const BitVec& other);
+  BitVec& operator=(BitVec&& other) noexcept;
+  ~BitVec();
 
   /// Parses a string of '0'/'1' characters, most significant first.
   static BitVec from_string(const std::string& bits);
@@ -60,12 +69,30 @@ class BitVec {
   /// Bit values as ints (handy for tests and report code).
   std::vector<int> to_bits() const;
 
+  /// The packed words: bit i is bit i % 64 of word i / 64, and the bits
+  /// past size() in the last word are zero.
+  std::span<const std::uint64_t> words() const { return {data(), word_count()}; }
+
  private:
   static constexpr std::size_t kWordBits = 64;
-  std::size_t word_count() const { return (size_ + kWordBits - 1) / kWordBits; }
+  static std::size_t words_for(std::size_t bits) {
+    return (bits + kWordBits - 1) / kWordBits;
+  }
+  /// Words held for `bits` bits: the inline word up to kWordBits, else the
+  /// next power of two of the words needed. Capacity is a function of the
+  /// size, so push_back grows geometrically without storing it.
+  static std::size_t capacity_for(std::size_t bits);
 
-  std::vector<std::uint64_t> words_;
+  std::size_t word_count() const { return words_for(size_); }
+  bool is_inline() const { return size_ <= kWordBits; }
+  std::uint64_t* data() { return is_inline() ? &inline_ : heap_; }
+  const std::uint64_t* data() const { return is_inline() ? &inline_ : heap_; }
+
   std::size_t size_ = 0;
+  union {
+    std::uint64_t inline_ = 0;  ///< the bits while size_ <= kWordBits
+    std::uint64_t* heap_;       ///< capacity_for(size_) words otherwise
+  };
 };
 
 }  // namespace ropuf

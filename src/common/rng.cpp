@@ -5,38 +5,29 @@
 #include "common/error.h"
 
 namespace ropuf {
+namespace detail {
+
 namespace {
 
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
+constexpr std::array<Divisor, kTableDivisors + 1> make_divisors() {
+  std::array<Divisor, kTableDivisors + 1> table{};
+  for (std::uint64_t n = 1; n <= kTableDivisors; ++n) {
+    table[n].reciprocal = ~U128{0} / n + 1;
+    table[n].limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+  }
+  return table;
 }
 
 }  // namespace
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97f4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+constexpr std::array<Divisor, kTableDivisors + 1> kDivisors = make_divisors();
+
+std::uint64_t rejection_limit(std::uint64_t n) {
+  ROPUF_REQUIRE(n > 0, "uniform_below(0)");
+  return ~std::uint64_t{0} - (~std::uint64_t{0} % n);
 }
 
-Rng::Rng(std::uint64_t seed) {
-  std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
+}  // namespace detail
 
 double Rng::uniform() {
   // Top 53 bits -> [0, 1) double.
@@ -46,17 +37,6 @@ double Rng::uniform() {
 double Rng::uniform(double lo, double hi) {
   ROPUF_REQUIRE(lo <= hi, "empty uniform range");
   return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_below(std::uint64_t n) {
-  ROPUF_REQUIRE(n > 0, "uniform_below(0)");
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
-  std::uint64_t x;
-  do {
-    x = next_u64();
-  } while (x >= limit);
-  return x % n;
 }
 
 double Rng::gaussian() {

@@ -238,14 +238,14 @@ void AuthServer::adopt_handoff(Shard& shard) {
   for (const int fd : fds) adopt_fd(shard, fd);
 }
 
-void AuthServer::enqueue_frame(Shard& shard, std::size_t index,
-                               std::string_view frame_bytes) {
+template <typename Append>
+void AuthServer::write_answer(Shard& shard, std::size_t index, const Append& append) {
   static obs::Counter& frames_out = obs::Registry::instance().counter("net.frames_out");
   static obs::Counter& slow_closes =
       obs::Registry::instance().counter("net.slow_consumer_closes");
   Connection& connection = shard.connections[index];
   if (!connection.alive) return;
-  connection.out.append(frame_bytes);
+  append(connection.out);
   bump(frames_out, shard.metrics.frames_out);
   if (connection.out.size() > options_.max_write_buffer) {
     // The peer stopped reading its answers; dropping it is the bounded
@@ -460,18 +460,19 @@ void AuthServer::drain_pending(Shard& shard) {
       obs::Registry::instance().latency_histogram("net.batch_us");
   queue_depth.record(static_cast<double>(shard.pending.size()));
   const obs::TraceSpan span("net.drain");
-  std::vector<service::AuthRequest> requests;
-  std::vector<service::ProofRequest> proofs;
-  while (!shard.pending.empty()) {
+  std::vector<service::AuthRequest>& requests = shard.batch_requests;
+  std::vector<service::ProofRequest>& proofs = shard.batch_proofs;
+  std::size_t begin = 0;
+  while (begin < shard.pending.size()) {
     // Take a front run holding at most max_batch unverified entries; the
     // encoded answers between them ride along, so every answer leaves in
     // the order its frame arrived.
     requests.clear();
     proofs.clear();
-    std::size_t run = 0;
-    while (run < shard.pending.size() &&
+    std::size_t end = begin;
+    while (end < shard.pending.size() &&
            requests.size() + proofs.size() < options_.max_batch) {
-      auto& work = shard.pending[run++].work;
+      auto& work = shard.pending[end++].work;
       if (auto* request = std::get_if<service::AuthRequest>(&work)) {
         requests.push_back(std::move(*request));
       } else if (const auto* proof = std::get_if<service::ProofRequest>(&work)) {
@@ -489,35 +490,48 @@ void AuthServer::drain_pending(Shard& shard) {
       shard.requests_served += requests.size() + proofs.size();
       proofs_verified.add(proofs.size());
     }
+    // Each answer is encoded straight into its connection's buffer.
     std::size_t next_verdict = 0;
     std::size_t next_proof = 0;
-    for (std::size_t written = 0; written < run; ++written) {
-      const PendingEntry& entry = shard.pending.front();
+    for (; begin < end; ++begin) {
+      const PendingEntry& entry = shard.pending[begin];
       if (const auto* bytes = std::get_if<std::string>(&entry.work)) {
-        enqueue_frame(shard, entry.connection, *bytes);
+        write_answer(shard, entry.connection,
+                     [&](std::string& out) { out.append(*bytes); });
       } else if (const auto* proof = std::get_if<service::ProofRequest>(&entry.work)) {
         const WireResponse response = wire_response(proof_verdicts[next_proof++]);
-        enqueue_frame(shard, entry.connection,
-                      encode_response_frame_v2(proof->request_id, response));
+        write_answer(shard, entry.connection, [&](std::string& out) {
+          append_response_frame_v2(out, proof->request_id, response);
+        });
       } else {
-        enqueue_frame(shard, entry.connection,
-                      encode_response_frame(wire_response(verdicts[next_verdict++])));
+        const WireResponse response = wire_response(verdicts[next_verdict++]);
+        write_answer(shard, entry.connection,
+                     [&](std::string& out) { append_response_frame(out, response); });
       }
-      shard.pending.pop_front();
     }
   }
+  shard.pending.clear();
 }
 
 void AuthServer::flush_writable(Shard& shard, std::size_t index) {
+  static obs::Counter& partial_flushes =
+      obs::Registry::instance().counter("net.partial_flushes");
   Connection& connection = shard.connections[index];
   while (connection.alive && !connection.out.empty()) {
     const ssize_t n = ::send(connection.fd, connection.out.data(),
                              connection.out.size(), MSG_NOSIGNAL);
     if (n > 0) {
+      // On served traffic a send takes the whole buffer (net.partial_flushes
+      // stays 0), and erasing all of a string keeps its capacity and moves
+      // no byte.
       connection.out.erase(0, static_cast<std::size_t>(n));
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // The socket's send buffer is full: the rest waits for POLLOUT.
+      partial_flushes.add(1);
+      return;
+    }
     if (n < 0 && errno == EINTR) continue;
     close_connection(shard, index);
     return;

@@ -14,13 +14,15 @@
 // verify. Once per sweep the shard drains its queue: each front run of at
 // most max_batch unverified entries goes through one
 // AuthService::verify_batch call and one verify_proof_batch call on the
-// deterministic parallel pool, then every answer in the run is written in
-// frame-arrival order. That is the one ordering rule — a connection's
-// answers leave in the order its frames arrived — so a v1 answer N always
-// pairs with request N although the wire carries no request ids. Verdicts
-// are bit-identical to an offline batch over the same requests at any
-// thread budget and any shard count (connections never migrate between
-// shards, so each connection's stream is one shard's arrival order).
+// deterministic parallel pool, then every answer in the run is encoded
+// straight into its connection's output buffer (a warm v1 request
+// allocates nothing on the way; docs/serving.md), in frame-arrival order.
+// That is the one ordering rule — a connection's answers leave in the
+// order its frames arrived — so a v1 answer N always pairs with request N
+// although the wire carries no request ids. Verdicts are bit-identical to
+// an offline batch over the same requests at any thread budget and any
+// shard count (connections never migrate between shards, so each
+// connection's stream is one shard's arrival order).
 //
 // shards == 1 (the default) is one loop on the calling thread, no extra
 // threads. shards > 1 spawns one reactor thread per further shard. Shard 0
@@ -79,7 +81,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -251,10 +252,16 @@ class AuthServer {
     int listen_fd = -1;  ///< shard 0's listener; -1 for the other shards
     std::size_t max_connections = 0;  ///< this shard's share of the cap
     std::vector<Connection> connections;
-    std::deque<PendingEntry> pending;
+    /// Answers owed, in frame-arrival order; drain_pending empties it every
+    /// sweep, so its capacity is reused and a steady request costs no
+    /// allocation here.
+    std::vector<PendingEntry> pending;
     /// Unverified entries in pending (the max_pending backpressure bound
     /// counts verification work, not encoded answers riding along).
     std::size_t pending_unverified = 0;
+    /// drain_pending's batch of each front run, kept for their capacity.
+    std::vector<service::AuthRequest> batch_requests;
+    std::vector<service::ProofRequest> batch_proofs;
     /// Listener poll resumes after this instant (accept_backoff_ms).
     std::chrono::steady_clock::time_point accept_backoff_until{};
     std::uint64_t requests_served = 0;
@@ -282,9 +289,10 @@ class AuthServer {
   /// Decodes one frame, updates the connection's state and queues the
   /// answer it owes. Never verifies and never writes.
   void handle_frame(Shard& shard, std::size_t index, const FrameView& frame);
-  /// Appends already-encoded frame bytes to a connection's write buffer,
-  /// enforcing the slow-consumer bound.
-  void enqueue_frame(Shard& shard, std::size_t index, std::string_view frame_bytes);
+  /// Appends one answer to a live connection's write buffer through
+  /// `append(out)`, enforcing the slow-consumer bound.
+  template <typename Append>
+  void write_answer(Shard& shard, std::size_t index, const Append& append);
   /// Drains the shard's pending queue, max_batch unverified entries at a
   /// time, writing every answer in frame-arrival order.
   void drain_pending(Shard& shard);

@@ -21,17 +21,38 @@ constexpr std::size_t kChallengePayloadBytes = 8 + 16;
 constexpr std::size_t kProofPayloadBytes = 8 + 32;
 constexpr std::size_t kResponseV2PayloadBytes = 8 + kResponsePayloadBytes;
 
-std::string finish_frame(FrameType type, std::string payload,
-                         std::uint16_t version = kWireVersion) {
-  registry::ByteWriter header;
-  header.u32(kFrameMagic);
-  header.u16(version);
-  header.u16(static_cast<std::uint16_t>(type));
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(registry::crc32(payload));
-  std::string frame = header.take();
-  frame.append(payload);
-  return frame;
+/// Appends one frame to `out`: the header announcing `payload_bytes`, the
+/// payload `write_payload` packs through a ByteWriter over `out`, then the
+/// payload CRC patched into the header. Every encoder is this one call, so
+/// a frame built into its own string and one appended to a connection's
+/// output buffer are the same bytes.
+template <typename WritePayload>
+void append_frame(std::string& out, FrameType type, std::uint16_t version,
+                  std::size_t payload_bytes, const WritePayload& write_payload) {
+  const std::size_t start = out.size();
+  registry::ByteWriter writer(out);
+  writer.u32(kFrameMagic);
+  writer.u16(version);
+  writer.u16(static_cast<std::uint16_t>(type));
+  writer.u32(static_cast<std::uint32_t>(payload_bytes));
+  writer.u32(0);  // payload CRC, patched below
+  write_payload(writer);
+  const std::string_view payload = std::string_view(out).substr(start + kFrameHeaderBytes);
+  ROPUF_REQUIRE(payload.size() == payload_bytes, "frame payload size mismatch");
+  const std::uint32_t crc = registry::crc32(payload);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[start + 12 + i] = static_cast<char>(crc >> (8 * i));
+  }
+}
+
+/// append_frame into a fresh string: the encode_* form.
+template <typename WritePayload>
+std::string encode_frame(FrameType type, std::uint16_t version, std::size_t payload_bytes,
+                         const WritePayload& write_payload) {
+  std::string out;
+  out.reserve(kFrameHeaderBytes + payload_bytes);
+  append_frame(out, type, version, payload_bytes, write_payload);
+  return out;
 }
 
 WireError bad_payload_size(const char* what, std::size_t want, std::size_t got) {
@@ -148,76 +169,98 @@ service::AuthVerdict auth_verdict(const WireResponse& response) {
 // -------------------------------------------------------------------- encode
 
 std::string encode_request_frame(const service::AuthRequest& request) {
-  registry::ByteWriter payload;
-  payload.u64(request.device_id);
-  payload.u64(request.challenge);
-  payload.u32(static_cast<std::uint32_t>(request.response.size()));
-  std::uint8_t byte = 0;
-  for (std::size_t i = 0; i < request.response.size(); ++i) {
-    if (request.response.get(i)) byte |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      payload.u8(byte);
-      byte = 0;
-    }
-  }
-  if (request.response.size() % 8 != 0) payload.u8(byte);
-  return finish_frame(FrameType::kAuthRequest, payload.take());
+  const std::size_t bits = request.response.size();
+  return encode_frame(FrameType::kAuthRequest, kWireVersion, request_payload_bytes(bits),
+                      [&](registry::ByteWriter& payload) {
+                        payload.u64(request.device_id);
+                        payload.u64(request.challenge);
+                        payload.u32(static_cast<std::uint32_t>(bits));
+                        std::uint8_t byte = 0;
+                        for (std::size_t i = 0; i < bits; ++i) {
+                          if (request.response.get(i)) {
+                            byte |= static_cast<std::uint8_t>(1u << (i % 8));
+                          }
+                          if (i % 8 == 7) {
+                            payload.u8(byte);
+                            byte = 0;
+                          }
+                        }
+                        if (bits % 8 != 0) payload.u8(byte);
+                      });
+}
+
+void append_response_frame(std::string& out, const WireResponse& response) {
+  append_frame(out, FrameType::kAuthResponse, kWireVersion, kResponsePayloadBytes,
+               [&](registry::ByteWriter& payload) {
+                 payload.u8(static_cast<std::uint8_t>(response.status));
+                 payload.u64(response.distance);
+                 payload.u32(response.response_bits);
+               });
 }
 
 std::string encode_response_frame(const WireResponse& response) {
-  registry::ByteWriter payload;
-  payload.u8(static_cast<std::uint8_t>(response.status));
-  payload.u64(response.distance);
-  payload.u32(response.response_bits);
-  return finish_frame(FrameType::kAuthResponse, payload.take());
+  std::string out;
+  out.reserve(kFrameHeaderBytes + kResponsePayloadBytes);
+  append_response_frame(out, response);
+  return out;
 }
 
 std::string encode_client_hello(std::uint16_t max_version) {
-  registry::ByteWriter payload;
-  payload.u16(max_version);
   // Header version 1: a pre-v2 server must classify this as a recoverable
   // unknown type, not a fatal unknown version, so the connection survives
   // for the v1 fallback.
-  return finish_frame(FrameType::kClientHello, payload.take(), kWireVersion);
+  return encode_frame(FrameType::kClientHello, kWireVersion, kHelloPayloadBytes,
+                      [&](registry::ByteWriter& payload) { payload.u16(max_version); });
 }
 
 std::string encode_server_hello(std::uint16_t version) {
-  registry::ByteWriter payload;
-  payload.u16(version);
-  return finish_frame(FrameType::kServerHello, payload.take(), kWireVersion);
+  return encode_frame(FrameType::kServerHello, kWireVersion, kHelloPayloadBytes,
+                      [&](registry::ByteWriter& payload) { payload.u16(version); });
 }
 
 std::string encode_request_frame_v2(std::uint64_t request_id,
                                     std::uint64_t device_id) {
-  registry::ByteWriter payload;
-  payload.u64(request_id);
-  payload.u64(device_id);
-  return finish_frame(FrameType::kAuthRequest, payload.take(), kWireVersionV2);
+  return encode_frame(FrameType::kAuthRequest, kWireVersionV2, kRequestV2PayloadBytes,
+                      [&](registry::ByteWriter& payload) {
+                        payload.u64(request_id);
+                        payload.u64(device_id);
+                      });
 }
 
 std::string encode_challenge_frame(std::uint64_t request_id,
                                    const auth::Nonce& nonce) {
-  registry::ByteWriter payload;
-  payload.u64(request_id);
-  for (const std::uint8_t byte : nonce) payload.u8(byte);
-  return finish_frame(FrameType::kAuthChallenge, payload.take(), kWireVersionV2);
+  return encode_frame(FrameType::kAuthChallenge, kWireVersionV2, kChallengePayloadBytes,
+                      [&](registry::ByteWriter& payload) {
+                        payload.u64(request_id);
+                        for (const std::uint8_t byte : nonce) payload.u8(byte);
+                      });
 }
 
 std::string encode_proof_frame(std::uint64_t request_id, const auth::Tag& tag) {
-  registry::ByteWriter payload;
-  payload.u64(request_id);
-  for (const std::uint8_t byte : tag) payload.u8(byte);
-  return finish_frame(FrameType::kAuthProof, payload.take(), kWireVersionV2);
+  return encode_frame(FrameType::kAuthProof, kWireVersionV2, kProofPayloadBytes,
+                      [&](registry::ByteWriter& payload) {
+                        payload.u64(request_id);
+                        for (const std::uint8_t byte : tag) payload.u8(byte);
+                      });
+}
+
+void append_response_frame_v2(std::string& out, std::uint64_t request_id,
+                              const WireResponse& response) {
+  append_frame(out, FrameType::kAuthResponse, kWireVersionV2, kResponseV2PayloadBytes,
+               [&](registry::ByteWriter& payload) {
+                 payload.u64(request_id);
+                 payload.u8(static_cast<std::uint8_t>(response.status));
+                 payload.u64(response.distance);
+                 payload.u32(response.response_bits);
+               });
 }
 
 std::string encode_response_frame_v2(std::uint64_t request_id,
                                      const WireResponse& response) {
-  registry::ByteWriter payload;
-  payload.u64(request_id);
-  payload.u8(static_cast<std::uint8_t>(response.status));
-  payload.u64(response.distance);
-  payload.u32(response.response_bits);
-  return finish_frame(FrameType::kAuthResponse, payload.take(), kWireVersionV2);
+  std::string out;
+  out.reserve(kFrameHeaderBytes + kResponseV2PayloadBytes);
+  append_response_frame_v2(out, request_id, response);
+  return out;
 }
 
 // -------------------------------------------------------------------- decode

@@ -159,6 +159,9 @@ std::string encode_request_frame(const service::AuthRequest& request);
 /// Complete response frame. Payload: u8 status, u64 distance,
 /// u32 response_bits.
 std::string encode_response_frame(const WireResponse& response);
+/// The same frame appended to `out` (the server writes each answer straight
+/// into a connection's output buffer); allocates only if `out` must grow.
+void append_response_frame(std::string& out, const WireResponse& response);
 
 // v2 frames. The hellos travel with header version 1 on purpose: a pre-v2
 // server sees a recoverable unknown type (kBadType) and answers kBadFrame,
@@ -179,6 +182,9 @@ std::string encode_proof_frame(std::uint64_t request_id, const auth::Tag& tag);
 /// v2 kAuthResponse: u64 request_id, then the v1 response fields.
 std::string encode_response_frame_v2(std::uint64_t request_id,
                                      const WireResponse& response);
+/// The same frame appended to `out`, like append_response_frame.
+void append_response_frame_v2(std::string& out, std::uint64_t request_id,
+                              const WireResponse& response);
 
 // ------------------------------------------------------------------ decode
 

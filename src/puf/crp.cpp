@@ -1,26 +1,66 @@
 #include "puf/crp.h"
 
+#include <limits>
+#include <numeric>
+#include <span>
+
 #include "common/error.h"
+#include "common/hamming.h"
 #include "common/rng.h"
 #include "puf/selection.h"
 
 namespace ropuf::puf {
 
-std::vector<std::size_t> challenge_to_pairs(std::uint64_t challenge,
-                                            std::size_t pair_count,
-                                            std::size_t response_bits) {
+ChallengeExpansion::ChallengeExpansion(std::uint64_t challenge, std::size_t pair_count,
+                                       std::size_t response_bits)
+    : size_(response_bits) {
   ROPUF_REQUIRE(pair_count > 0, "no enrolled pairs");
   ROPUF_REQUIRE(response_bits >= 1 && response_bits <= pair_count,
                 "response length must be 1..pair_count");
-
-  // Deterministic Fisher-Yates keyed by the challenge. Using the library
-  // Rng keeps the expansion identical on enroller and verifier.
+  ROPUF_REQUIRE(pair_count <= std::numeric_limits<std::uint32_t>::max(),
+                "pair count exceeds the expansion's 32-bit indices");
+  std::span<std::uint32_t> order;
+  if (pair_count <= stack_.size()) {
+    order = std::span<std::uint32_t>(stack_.data(), pair_count);
+  } else {
+    heap_.resize(pair_count);
+    order = heap_;
+  }
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  // Every draw counts even when only a prefix is read: the backward
+  // shuffle fixes position i - 1 at step i, so the prefix is final last.
   Rng rng(challenge);
-  std::vector<std::size_t> order(pair_count);
-  for (std::size_t i = 0; i < pair_count; ++i) order[i] = i;
   rng.shuffle(order);
-  order.resize(response_bits);
+  pairs_ = order.data();
+}
+
+std::vector<std::size_t> challenge_to_pairs(std::uint64_t challenge,
+                                            std::size_t pair_count,
+                                            std::size_t response_bits) {
+  const ChallengeExpansion pairs(challenge, pair_count, response_bits);
+  std::vector<std::size_t> order(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) order[i] = pairs[i];
   return order;
+}
+
+std::size_t reference_distance(std::uint64_t challenge, const BitVec& enrolled,
+                               const BitVec& claimed) {
+  const ChallengeExpansion pairs(challenge, enrolled.size(), claimed.size());
+  const std::span<const std::uint64_t> from = enrolled.words();
+  const std::span<const std::uint64_t> against = claimed.words();
+  std::array<std::uint64_t, kStackExpansionPairs / 64> stack{};
+  std::vector<std::uint64_t> heap;
+  std::uint64_t* reference = stack.data();
+  if (against.size() > stack.size()) {
+    heap.resize(against.size());
+    reference = heap.data();
+  }
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const std::size_t p = pairs[i];
+    reference[i / 64] |= ((from[p / 64] >> (p % 64)) & 1u) << (i % 64);
+  }
+  return static_cast<std::size_t>(
+      hamming_distance_words(reference, against.data(), against.size()));
 }
 
 CrpOracle::CrpOracle(const ConfigurableEnrollment* enrollment, std::size_t response_bits)
@@ -33,8 +73,7 @@ CrpOracle::CrpOracle(const ConfigurableEnrollment* enrollment, std::size_t respo
 
 BitVec CrpOracle::respond(std::uint64_t challenge,
                           const std::vector<double>& unit_values) const {
-  const auto pairs =
-      challenge_to_pairs(challenge, enrollment_->selections.size(), response_bits_);
+  const ChallengeExpansion pairs(challenge, enrollment_->selections.size(), response_bits_);
   BitVec response(response_bits_);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const Selection& sel = enrollment_->selections[pairs[i]];
@@ -47,8 +86,7 @@ BitVec CrpOracle::respond(std::uint64_t challenge,
 }
 
 BitVec CrpOracle::reference(std::uint64_t challenge) const {
-  const auto pairs =
-      challenge_to_pairs(challenge, enrollment_->selections.size(), response_bits_);
+  const ChallengeExpansion pairs(challenge, enrollment_->selections.size(), response_bits_);
   BitVec response(response_bits_);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     response.set(i, enrollment_->selections[pairs[i]].bit);

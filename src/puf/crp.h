@@ -12,8 +12,13 @@
 // paper criticizes (Section II), the *configurations are fixed at
 // enrollment* — the challenge only permutes which enrolled pairs are read,
 // so the modeling surface does not grow with the CRP count.
+//
+// ChallengeExpansion is the one expansion: challenge_to_pairs, CrpOracle
+// and the verifier's reference_distance all read it, so enroller, oracle
+// and server cannot disagree about which pair supplies which bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -22,11 +27,47 @@
 
 namespace ropuf::puf {
 
+/// Pair counts up to this expand in a stack array; larger boards (pair
+/// counts go up to 2^24) expand on the heap.
+inline constexpr std::size_t kStackExpansionPairs = 256;
+
+/// The enrolled pairs a challenge selects, in response-bit order: a
+/// backward Fisher-Yates over [0, pair_count) keyed by the challenge (the
+/// library Rng, so enroller and verifier agree), truncated to
+/// response_bits. `(*this)[i]` is the pair supplying response bit i.
+/// Allocation-free for pair_count <= kStackExpansionPairs.
+class ChallengeExpansion {
+ public:
+  ChallengeExpansion(std::uint64_t challenge, std::size_t pair_count,
+                     std::size_t response_bits);
+  ChallengeExpansion(const ChallengeExpansion&) = delete;
+  ChallengeExpansion& operator=(const ChallengeExpansion&) = delete;
+
+  std::size_t size() const { return size_; }
+  std::size_t operator[](std::size_t i) const { return pairs_[i]; }
+
+ private:
+  std::array<std::uint32_t, kStackExpansionPairs> stack_;
+  std::vector<std::uint32_t> heap_;
+  const std::uint32_t* pairs_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// Deterministic pair subset derived from a challenge: `indices[i]` is the
 /// enrolled pair supplying response bit i.
 std::vector<std::size_t> challenge_to_pairs(std::uint64_t challenge,
                                             std::size_t pair_count,
                                             std::size_t response_bits);
+
+/// Hamming distance between `claimed` and the reference response the
+/// challenge selects from `enrolled` (bit p = pair p's enrolled bit, as
+/// ConfigurableEnrollment::response() packs it): the verifier's comparison.
+/// The reference has claimed.size() bits, bit i = enrolled bit
+/// ChallengeExpansion[i] — what CrpOracle::reference returns — gathered
+/// straight into words. Allocation-free while claimed.size() <=
+/// kStackExpansionPairs and enrolled.size() <= kStackExpansionPairs.
+std::size_t reference_distance(std::uint64_t challenge, const BitVec& enrolled,
+                               const BitVec& claimed);
 
 /// A challenge-response evaluator bound to one board's enrollment.
 class CrpOracle {

@@ -15,7 +15,7 @@
 namespace ropuf::registry {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
   std::array<std::uint32_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
@@ -27,13 +27,22 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
+constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+
+/// The low `N` bytes of v, least significant first, in one append.
+template <std::size_t N>
+void append_le(std::string& out, std::uint64_t v) {
+  char bytes[N];
+  for (std::size_t i = 0; i < N; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out.append(bytes, N);
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
   std::uint32_t c = seed ^ 0xffffffffu;
   for (const char byte : bytes) {
-    c = table[(c ^ static_cast<std::uint8_t>(byte)) & 0xffu] ^ (c >> 8);
+    c = kCrcTable[(c ^ static_cast<std::uint8_t>(byte)) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }
@@ -52,20 +61,11 @@ const char* defect_name(Defect defect) {
   return "unknown";
 }
 
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
+void ByteWriter::u16(std::uint16_t v) { append_le<2>(*out_, v); }
 
-void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
+void ByteWriter::u32(std::uint32_t v) { append_le<4>(*out_, v); }
 
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
+void ByteWriter::u64(std::uint64_t v) { append_le<8>(*out_, v); }
 
 void ByteWriter::f64(double v) {
   std::uint64_t pattern = 0;
@@ -275,15 +275,17 @@ std::size_t SectionedImage::index_position(std::uint64_t device_id) const {
 }
 
 std::string ImageBuilder::build() const {
-  ByteWriter index;
+  std::string index;
   std::string records;
+  ByteWriter index_writer(index);
   for (const auto& [device_id, payload] : entries_) {
-    index.u64(device_id);
-    index.u64(payload.empty() ? 0 : records.size());
-    index.u64(payload.size());
+    index_writer.u64(device_id);
+    index_writer.u64(payload.empty() ? 0 : records.size());
+    index_writer.u64(payload.size());
     records += payload;
   }
-  ByteWriter header;
+  std::string file;
+  ByteWriter header(file);
   header.raw(kind_.magic);
   header.u32(kind_.version);
   header.u32(static_cast<std::uint32_t>(kHeaderBytes));
@@ -292,12 +294,11 @@ std::string ImageBuilder::build() const {
   header.u64(index.size());
   header.u64(kHeaderBytes + index.size());
   header.u64(records.size());
-  header.u32(crc32(index.bytes()));
+  header.u32(crc32(index));
   header.u32(crc32(records));
-  header.u32(crc32(header.bytes()));  // over exactly the kHeaderCrcSpan bytes above
+  header.u32(crc32(file));  // over exactly the kHeaderCrcSpan bytes above
 
-  std::string file = header.take();
-  file += index.bytes();
+  file += index;
   file += records;
   return file;
 }

@@ -58,24 +58,24 @@ class FormatError : public Error {
   Defect defect_;
 };
 
-/// Appends little-endian scalars to a growing byte string.
+/// Appends little-endian scalars to a caller's byte string (a record being
+/// built, or a connection's output buffer the wire codec encodes into).
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
+  /// Appends to `sink`, which must outlive the writer.
+  explicit ByteWriter(std::string& sink) : out_(&sink) {}
+
+  void u8(std::uint8_t v) { out_->push_back(static_cast<char>(v)); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   /// IEEE-754 doubles travel as their 64-bit pattern, so round-trips are
   /// bit-exact (including -0.0; the library never stores NaN margins).
   void f64(double v);
-  void raw(std::string_view bytes) { bytes_.append(bytes); }
-
-  std::size_t size() const { return bytes_.size(); }
-  const std::string& bytes() const { return bytes_; }
-  std::string take() { return std::move(bytes_); }
+  void raw(std::string_view bytes) { out_->append(bytes); }
 
  private:
-  std::string bytes_;
+  std::string* out_;
 };
 
 // --------------------------------------------------- sectioned container

@@ -295,9 +295,10 @@ void validate_enrollment(const puf::ConfigurableEnrollment& e) {
 
 std::string encode_validated_record(const puf::ConfigurableEnrollment& e) {
   validate_enrollment(e);
-  ByteWriter writer;
+  std::string record;
+  ByteWriter writer(record);
   encode_enrollment_record(writer, e);
-  return writer.take();
+  return record;
 }
 
 double RegistryStats::bias_percent() const {

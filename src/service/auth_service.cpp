@@ -247,6 +247,7 @@ EnrollmentCache::Entry AuthService::resolve_lookup(
     std::optional<puf::ConfigurableEnrollment> found = snapshot.find(device_id);
     if (found.has_value()) {
       resolved->enrollment = std::move(*found);
+      resolved->response = resolved->enrollment->response();
       // Derive the v2 verification key once per (device, epoch): Rep over
       // the clean enrollment response plus the KCV cross-check, kept as its
       // HMAC midstates. Leaving it disengaged (unprovisioned record or
@@ -319,9 +320,8 @@ AuthVerdict AuthService::verify_pinned(const registry::RegistrySnapshot& snapsho
         if (request.response.size() != bits) {
           return AuthVerdict{AuthStatus::kMalformedRequest, 0, bits};
         }
-        const puf::CrpOracle oracle(&enrollment, bits);
-        const BitVec reference = oracle.reference(request.challenge);
-        const std::size_t distance = reference.hamming_distance(request.response);
+        const std::size_t distance =
+            puf::reference_distance(request.challenge, lookup.response, request.response);
         return AuthVerdict{distance <= options_.max_distance ? AuthStatus::kAccept
                                                              : AuthStatus::kReject,
                            distance, bits};

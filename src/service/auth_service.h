@@ -182,6 +182,11 @@ struct CachedLookup {
   };
   Outcome outcome = Outcome::kEnrolled;
   std::optional<puf::ConfigurableEnrollment> enrollment;
+  /// The enrollment-time response packed once at resolve time (bit p =
+  /// pair p's bit, enrollment->response()), so a v1 verify gathers its
+  /// reference bits from words rather than from Selection structs. Empty
+  /// unless kEnrolled.
+  BitVec response;
   /// The protocol-v2 verification key as its HMAC midstates, derived once
   /// at resolve time for provisioned records (Rep over the clean enrollment
   /// response + KCV cross-check), so a tag check costs two compressions.

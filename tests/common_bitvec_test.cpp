@@ -4,7 +4,9 @@
 
 #include <bit>
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -173,6 +175,133 @@ TEST(BitVec, OrderingIsUsableAsMapKey) {
 TEST(BitVec, ToBitsRoundTrips) {
   const std::vector<int> bits{1, 1, 0, 1, 0, 0, 1};
   EXPECT_EQ(BitVec::from_bits(bits).to_bits(), bits);
+}
+
+// ------------------------------------------ inline word and heap storage
+//
+// Up to 64 bits live in the object, more on the heap. Every operation must
+// read the same on both sides of that boundary.
+
+/// Sizes on both sides of the inline word and of the heap's first growth.
+const std::vector<std::size_t> kBoundarySizes = {0, 1, 63, 64, 65, 129};
+
+BitVec random_bits(Rng& rng, std::size_t n) {
+  BitVec v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.flip());
+  return v;
+}
+
+/// The packed words the way a vector-of-words BitVec held them.
+std::vector<std::uint64_t> packed_words(const BitVec& v) {
+  std::vector<std::uint64_t> words((v.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v.get(i)) words[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  return words;
+}
+
+TEST(BitVec, EverySizeAcrossTheInlineBoundaryBehavesAlike) {
+  Rng rng(0x1b);
+  for (const std::size_t n : kBoundarySizes) {
+    const BitVec v = random_bits(rng, n);
+    EXPECT_EQ(v.size(), n);
+    EXPECT_EQ(v.empty(), n == 0);
+    // Word accessor: one word per 64 bits, nothing set past size().
+    const std::span<const std::uint64_t> words = v.words();
+    ASSERT_EQ(words.size(), (n + 63) / 64) << "n=" << n;
+    EXPECT_EQ(std::vector<std::uint64_t>(words.begin(), words.end()), packed_words(v));
+    std::size_t ones = 0;
+    for (std::size_t i = 0; i < n; ++i) ones += v.get(i) ? 1 : 0;
+    EXPECT_EQ(v.popcount(), ones) << "n=" << n;
+    EXPECT_EQ(BitVec::from_string(v.to_string()), v) << "n=" << n;
+    EXPECT_EQ((v ^ v).popcount(), 0u);
+    const BitVec w = random_bits(rng, n);
+    EXPECT_EQ((v ^ w).popcount(), v.hamming_distance(w)) << "n=" << n;
+    EXPECT_EQ((v ^ w) ^ w, v) << "n=" << n;
+    if (n > 0) {
+      EXPECT_THROW(v.get(n), Error);
+    }
+  }
+}
+
+TEST(BitVec, PushBackAcrossTheInlineBoundaryKeepsEveryBit) {
+  Rng rng(0x2b);
+  std::vector<bool> want;
+  BitVec v;
+  for (std::size_t i = 0; i < 300; ++i) {
+    want.push_back(rng.flip());
+    v.push_back(want.back());
+    ASSERT_EQ(v.size(), want.size());
+    if (i == 63 || i == 64 || i == 128 || i == 256) {
+      // Right after each growth step every earlier bit is still there.
+      for (std::size_t k = 0; k <= i; ++k) ASSERT_EQ(v.get(k), want[k]) << "at " << i;
+      EXPECT_EQ(v, BitVec::from_string(v.to_string()));
+    }
+  }
+  for (std::size_t k = 0; k < want.size(); ++k) EXPECT_EQ(v.get(k), want[k]) << "bit " << k;
+}
+
+TEST(BitVec, CopyAndMoveKeepContentOnBothSidesOfTheBoundary) {
+  Rng rng(0x3b);
+  for (const std::size_t n : kBoundarySizes) {
+    const BitVec original = random_bits(rng, n);
+    BitVec copy(original);
+    EXPECT_EQ(copy, original);
+    if (n > 0) {
+      copy.set(0, !copy.get(0));  // a deep copy: the original is untouched
+      EXPECT_NE(copy, original);
+    }
+    BitVec moved(std::move(copy));
+    EXPECT_EQ(moved.size(), n);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move): pinned state
+    for (const std::size_t m : kBoundarySizes) {
+      BitVec target = random_bits(rng, m);
+      target = original;  // copy-assign across sizes, either direction
+      EXPECT_EQ(target, original) << n << " <- " << m;
+      BitVec source = original;
+      BitVec other = random_bits(rng, m);
+      other = std::move(source);  // move-assign across sizes
+      EXPECT_EQ(other, original) << n << " <- " << m;
+      EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    }
+    BitVec self = original;
+    const BitVec& alias = self;
+    self = alias;
+    EXPECT_EQ(self, original);
+  }
+}
+
+TEST(BitVec, CopyAssignIntoAnEqualHeapBlockLeavesNoStaleBits) {
+  // 129 and 256 bits both take a 4-word heap block, so the assignment
+  // reuses the target's block; the bits it does not overwrite read zero.
+  BitVec target = BitVec::from_string(std::string(256, '1'));
+  const BitVec source = BitVec::from_string(std::string(129, '1'));
+  target = source;
+  EXPECT_EQ(target, source);
+  EXPECT_EQ(target.words().back(), 1u);
+  for (std::size_t i = 129; i < 256; ++i) target.push_back(false);
+  EXPECT_EQ(target.popcount(), 129u);
+}
+
+TEST(BitVec, OrderIsSizeThenWordsLeastSignificantFirst) {
+  // The order of the vector-of-words representation: size first, then the
+  // packed words compared lexicographically as unsigned integers.
+  Rng rng(0x4b);
+  std::vector<BitVec> values;
+  for (const std::size_t n : kBoundarySizes) {
+    for (int k = 0; k < 6; ++k) values.push_back(random_bits(rng, n));
+    values.push_back(BitVec(n));
+  }
+  values.push_back(BitVec::from_string(std::string(64, '0') + "1"));
+  values.push_back(BitVec::from_string("1" + std::string(64, '0')));
+  for (const BitVec& a : values) {
+    for (const BitVec& b : values) {
+      const bool want = a.size() != b.size() ? a.size() < b.size()
+                                             : packed_words(a) < packed_words(b);
+      EXPECT_EQ(a < b, want) << a.to_string() << " < " << b.to_string();
+      EXPECT_EQ(a == b, a.size() == b.size() && packed_words(a) == packed_words(b));
+    }
+  }
 }
 
 }  // namespace

@@ -52,6 +52,51 @@ TEST(Rng, UniformMeanIsNearOneHalf) {
   EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
+/// The rejection sampler computed by division, over the generator's own
+/// stream: the reference uniform_below's table path must match.
+std::uint64_t divided_uniform_below(Rng& rng, std::uint64_t n) {
+  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+  std::uint64_t x;
+  do {
+    x = rng.next_u64();
+  } while (x >= limit);
+  return x % n;
+}
+
+TEST(Rng, UniformBelowFirstDrawsArePinned) {
+  // Values from the divided sampler; the table path must not move them.
+  const auto first_six = [](std::uint64_t n) {
+    Rng rng(42);
+    std::vector<std::uint64_t> draws;
+    for (int i = 0; i < 6; ++i) draws.push_back(rng.uniform_below(n));
+    return draws;
+  };
+  EXPECT_EQ(first_six(16), (std::vector<std::uint64_t>{6, 14, 1, 1, 4, 8}));
+  EXPECT_EQ(first_six(256), (std::vector<std::uint64_t>{22, 126, 161, 161, 100, 56}));
+  EXPECT_EQ(first_six(257), (std::vector<std::uint64_t>{248, 57, 252, 87, 157, 51}));
+  EXPECT_EQ(first_six(1000003),
+            (std::vector<std::uint64_t>{188482, 382586, 173206, 314354, 42763, 52685}));
+}
+
+TEST(Rng, UniformBelowMatchesTheDividedSamplerForEveryDivisor) {
+  // Every table divisor, the first ones past it, and two large ones.
+  std::vector<std::uint64_t> divisors;
+  for (std::uint64_t n = 1; n <= 300; ++n) divisors.push_back(n);
+  divisors.push_back(std::uint64_t{1} << 24);
+  divisors.push_back((std::uint64_t{1} << 63) + 1);
+  for (const std::uint64_t n : divisors) {
+    for (const std::uint64_t seed : {1ull, 0x5eedull, 0xfeedfacecafebeefull}) {
+      Rng fast(seed), divided(seed);
+      for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(fast.uniform_below(n), divided_uniform_below(divided, n))
+            << "n=" << n << " seed=" << seed << " draw " << i;
+      }
+      // Same number of raw draws consumed, so the streams stay in step.
+      ASSERT_EQ(fast.next_u64(), divided.next_u64()) << "n=" << n;
+    }
+  }
+}
+
 TEST(Rng, UniformBelowCoversAllResidues) {
   Rng rng(13);
   std::vector<int> counts(10, 0);

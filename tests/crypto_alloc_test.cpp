@@ -6,63 +6,22 @@
 // the HMAC, nonce, prove and verify calls make no allocation at all.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "auth/auth.h"
+#include "counting_alloc.h"
 #include "crypto/hmac.h"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-}  // namespace
-
-// Every replaceable form that libstdc++ does not route through
-// operator new(size_t) itself, each paired with a matching delete. The
-// deletes stay out of line: inlined, GCC sees free() meet a pointer from
-// operator new and warns (-Wmismatched-new-delete).
-void* operator new(std::size_t size) {
-  if (void* p = counted_alloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace ropuf {
 namespace {
 
 constexpr std::size_t kCalls = 1000;
 
+using counting_alloc::allocations_over;
+
 /// Where the loops leave their results, so no call can be dropped.
 volatile std::uint8_t g_sink = 0;
 void keep(std::uint8_t byte) { g_sink = byte; }
-
-/// Heap allocations made by `calls` runs of `fn`.
-template <typename Fn>
-std::size_t allocations_over(std::size_t calls, const Fn& fn) {
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < calls; ++i) fn(i);
-  return g_allocations.load(std::memory_order_relaxed) - before;
-}
 
 crypto::Sha256Digest sample_key() {
   crypto::Sha256Digest key{};

@@ -20,6 +20,7 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "net/client.h"
+#include "obs/metrics.h"
 #include "puf/crp.h"
 #include "registry/registry.h"
 #include "service/auth_service.h"
@@ -68,6 +69,7 @@ class ServerHarness {
 
   const registry::Registry& registry() const { return registry_; }
   net::AuthServer& server() { return server_; }
+  std::uint16_t port() const { return port_; }
 
   net::AuthClient client(std::size_t window = 128) const {
     net::ClientOptions options;
@@ -390,6 +392,144 @@ TEST(AuthServer, TinyWriteBufferClosesSlowConsumers) {
   // The response cannot be buffered within the limit, so the connection is
   // dropped instead of growing the write buffer without bound.
   EXPECT_EQ(client.recv_until_close(), 0u);
+}
+
+// ------------------------------------------------------ partial sends
+
+/// A blocking client socket whose receive buffer is set tiny before the
+/// handshake, so the server's sends to it go short once the kernel's
+/// buffers fill.
+int small_window_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+/// Waits up to 20 s for `counter` to pass `floor`.
+bool wait_past(const obs::Counter& counter, std::uint64_t floor) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (counter.value() <= floor) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Sends whole copies of `blob` until `counter` passes `floor`, the peer
+/// goes away, or `cap` copies went out; returns the copies sent. A peer
+/// that reads nothing is then owed more than the host's socket buffers
+/// hold, however large they are tuned (up to the cap).
+std::size_t send_until_past(int fd, const std::string& blob, const obs::Counter& counter,
+                            std::uint64_t floor, std::size_t cap) {
+  std::size_t copies = 0;
+  while (copies < cap && counter.value() <= floor) {
+    std::string_view rest(blob);
+    while (!rest.empty()) {
+      const ssize_t n = ::send(fd, rest.data(), rest.size(), MSG_NOSIGNAL);
+      if (n <= 0) return copies;
+      rest.remove_prefix(static_cast<std::size_t>(n));
+    }
+    ++copies;
+  }
+  return copies;
+}
+
+/// Most copies of 256 requests a stalled peer sends: 29 MB of answers, past
+/// any loopback send buffer (about 3-4 MB on a default Linux host) and
+/// within the first test's max_write_buffer.
+constexpr std::size_t kMaxStallCopies = 4000;
+
+TEST(AuthServer, StalledReaderGetsEveryAnswerIntactAndInOrder) {
+  obs::set_metrics_enabled(true);
+  const obs::Counter& partial_flushes =
+      obs::Registry::instance().counter("net.partial_flushes");
+  const std::uint64_t partial_before = partial_flushes.value();
+  net::ServerOptions options;
+  options.max_write_buffer = 64u << 20;  // holds everything the peer is owed
+  options.max_pending = 1u << 20;        // verifies every pipelined request
+  ServerHarness harness(options);
+  const auto requests = small_workload(harness.registry(), {}, 256);
+  std::string blob;
+  for (const service::AuthRequest& request : requests) {
+    blob += net::encode_request_frame(request);
+  }
+  const service::AuthService offline(&harness.registry(), {});
+  const std::vector<service::AuthVerdict> expected = offline.verify_batch(requests);
+
+  // Send without reading, and keep not reading until the server's send has
+  // come back short: the answers owed now wait in its output buffer.
+  const int fd = small_window_connect(harness.port());
+  const std::size_t copies =
+      send_until_past(fd, blob, partial_flushes, partial_before, kMaxStallCopies);
+  ASSERT_TRUE(wait_past(partial_flushes, partial_before))
+      << "the server never saw a short send after " << copies << " copies";
+
+  const std::size_t frame_bytes =
+      net::encode_response_frame(net::WireResponse{}).size();
+  const std::size_t total = copies * requests.size();
+  std::string in(total * frame_bytes, '\0');
+  std::size_t got = 0;
+  while (got < in.size()) {
+    const ssize_t n = ::recv(fd, in.data() + got, in.size() - got, 0);
+    ASSERT_GT(n, 0) << "connection ended after " << got << " bytes";
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  std::string_view rest(in);
+  for (std::size_t k = 0; k < total; ++k) {
+    const net::ExtractResult extracted = net::try_extract_frame(rest);
+    ASSERT_EQ(extracted.status, net::ExtractResult::Status::kFrame) << "answer " << k;
+    const service::AuthVerdict verdict =
+        net::auth_verdict(net::decode_response_payload(extracted.frame.payload));
+    const service::AuthVerdict& want = expected[k % expected.size()];
+    ASSERT_EQ(verdict.status, want.status) << "answer " << k;
+    ASSERT_EQ(verdict.distance, want.distance) << "answer " << k;
+    ASSERT_EQ(verdict.response_bits, want.response_bits) << "answer " << k;
+    rest.remove_prefix(extracted.frame.frame_bytes);
+  }
+  EXPECT_TRUE(rest.empty());
+  obs::set_metrics_enabled(false);
+}
+
+TEST(AuthServer, StalledReaderPastTheWriteBoundIsClosedAsASlowConsumer) {
+  obs::set_metrics_enabled(true);
+  const obs::Counter& slow_closes =
+      obs::Registry::instance().counter("net.slow_consumer_closes");
+  const std::uint64_t closes_before = slow_closes.value();
+  net::ServerOptions options;
+  options.max_write_buffer = 64u << 10;  // far less than the peer will be owed
+  ServerHarness harness(options);
+  const auto requests = small_workload(harness.registry(), {}, 256);
+  std::string blob;
+  for (const service::AuthRequest& request : requests) {
+    blob += net::encode_request_frame(request);
+  }
+
+  // Sending stops once the server closes the connection.
+  const int fd = small_window_connect(harness.port());
+  const std::size_t copies =
+      send_until_past(fd, blob, slow_closes, closes_before, kMaxStallCopies);
+  EXPECT_TRUE(wait_past(slow_closes, closes_before));
+  // Reading now finds the connection closed before the answers ran out.
+  const std::size_t frame_bytes =
+      net::encode_response_frame(net::WireResponse{}).size();
+  std::size_t got = 0;
+  char chunk[65536];
+  while (true) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  EXPECT_LT(got, copies * requests.size() * frame_bytes);
+  obs::set_metrics_enabled(false);
 }
 
 // ------------------------------------------------- configuration validation

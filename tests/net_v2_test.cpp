@@ -92,13 +92,13 @@ class ServerHarness {
 /// rather than dying at the CRC check.
 std::string raw_frame(net::FrameType type, std::uint16_t version,
                       const std::string& payload) {
-  registry::ByteWriter header;
+  std::string frame;
+  registry::ByteWriter header(frame);
   header.u32(net::kFrameMagic);
   header.u16(version);
   header.u16(static_cast<std::uint16_t>(type));
   header.u32(static_cast<std::uint32_t>(payload.size()));
   header.u32(registry::crc32(payload));
-  std::string frame = header.take();
   frame.append(payload);
   return frame;
 }

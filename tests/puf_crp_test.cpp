@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -16,6 +18,85 @@ ConfigurableEnrollment sample_enrollment(std::uint64_t seed, std::size_t pairs =
   std::vector<double> values(layout.units_required());
   for (auto& v : values) v = rng.gaussian(0.0, 10.0);
   return configurable_enroll(values, layout, SelectionCase::kIndependent);
+}
+
+/// The expansion computed the plain way — a full vector, the rejection
+/// sampler by division, the backward shuffle, then truncated: the
+/// reference ChallengeExpansion must match.
+std::vector<std::size_t> divided_challenge_to_pairs(std::uint64_t challenge,
+                                                    std::size_t pair_count,
+                                                    std::size_t response_bits) {
+  Rng rng(challenge);
+  std::vector<std::size_t> order(pair_count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = order.size(); i > 1; --i) {
+    const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % i);
+    std::uint64_t x;
+    do {
+      x = rng.next_u64();
+    } while (x >= limit);
+    std::swap(order[i - 1], order[static_cast<std::size_t>(x % i)]);
+  }
+  order.resize(response_bits);
+  return order;
+}
+
+TEST(ChallengeToPairs, ExpansionsArePinned) {
+  EXPECT_EQ(
+      challenge_to_pairs(0x0123456789abcdefull, 16, 16),
+      (std::vector<std::size_t>{11, 10, 6, 14, 5, 1, 2, 15, 4, 7, 9, 3, 0, 8, 12, 13}));
+  EXPECT_EQ(challenge_to_pairs(0x2a, 16, 8),
+            (std::vector<std::size_t>{14, 9, 7, 2, 3, 1, 10, 8}));
+  EXPECT_EQ(challenge_to_pairs(0xfeedfacecafebeefull, 300, 20),
+            (std::vector<std::size_t>{261, 255, 215, 210, 224, 28, 105, 191, 113, 40, 229,
+                                      108, 289, 10, 256, 186, 152, 173, 23, 163}));
+}
+
+TEST(ChallengeToPairs, ExpansionAndGatherMatchTheDividedShuffle) {
+  // Both sides of the stack bound and of every word boundary of the gather.
+  Rng bits(0xb175);
+  for (const std::size_t pairs : {1u, 2u, 16u, 63u, 64u, 65u, 256u, 257u, 1000u}) {
+    BitVec enrolled(pairs);
+    for (std::size_t p = 0; p < pairs; ++p) enrolled.set(p, bits.flip());
+    const std::size_t lengths[] = {1, std::min<std::size_t>(pairs, 16),
+                                   std::min<std::size_t>(pairs, 65), pairs};
+    for (const std::size_t response_bits : lengths) {
+      for (std::uint64_t challenge = 0; challenge < 40; ++challenge) {
+        const std::uint64_t c = challenge * 0x9e3779b97f4a7c15ull;
+        const std::vector<std::size_t> want =
+            divided_challenge_to_pairs(c, pairs, response_bits);
+        ASSERT_EQ(challenge_to_pairs(c, pairs, response_bits), want)
+            << "pairs=" << pairs << " bits=" << response_bits;
+        const ChallengeExpansion expansion(c, pairs, response_bits);
+        ASSERT_EQ(expansion.size(), response_bits);
+        BitVec claimed(response_bits);
+        std::size_t distance = 0;
+        for (std::size_t i = 0; i < response_bits; ++i) {
+          ASSERT_EQ(expansion[i], want[i]);
+          claimed.set(i, bits.flip());
+          distance += claimed.get(i) != enrolled.get(want[i]);
+        }
+        ASSERT_EQ(reference_distance(c, enrolled, claimed), distance)
+            << "pairs=" << pairs << " bits=" << response_bits;
+      }
+    }
+  }
+}
+
+TEST(ChallengeToPairs, GatherMatchesTheOracleReference) {
+  // The server's packed gather and CrpOracle's walk over Selections agree.
+  for (const std::size_t pairs : {16u, 257u}) {
+    const auto enrollment = sample_enrollment(7, pairs);
+    const BitVec enrolled = enrollment.response();
+    const CrpOracle oracle(&enrollment, 16);
+    for (std::uint64_t challenge = 0; challenge < 64; ++challenge) {
+      const BitVec reference = oracle.reference(challenge);
+      EXPECT_EQ(reference_distance(challenge, enrolled, reference), 0u);
+      BitVec flipped = reference;
+      flipped.set(challenge % 16, !flipped.get(challenge % 16));
+      EXPECT_EQ(reference_distance(challenge, enrolled, flipped), 1u);
+    }
+  }
 }
 
 TEST(ChallengeToPairs, DeterministicAndWithoutReplacement) {
@@ -45,6 +126,8 @@ TEST(ChallengeToPairs, RejectsBadLengths) {
   EXPECT_THROW(challenge_to_pairs(1, 0, 1), ropuf::Error);
   EXPECT_THROW(challenge_to_pairs(1, 8, 0), ropuf::Error);
   EXPECT_THROW(challenge_to_pairs(1, 8, 9), ropuf::Error);
+  EXPECT_THROW(reference_distance(1, BitVec(8), BitVec(9)), ropuf::Error);
+  EXPECT_THROW(reference_distance(1, BitVec(8), BitVec()), ropuf::Error);
 }
 
 TEST(CrpOracle, ReferenceMatchesEnrollmentBits) {

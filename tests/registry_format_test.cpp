@@ -116,7 +116,8 @@ TEST(RegistryFormat, Crc32ChainsIncrementally) {
 }
 
 TEST(RegistryFormat, ByteRoundTripIsExact) {
-  ByteWriter writer;
+  std::string bytes;
+  ByteWriter writer(bytes);
   writer.u8(0xab);
   writer.u16(0xbeef);
   writer.u32(0xdeadbeefu);
@@ -124,7 +125,7 @@ TEST(RegistryFormat, ByteRoundTripIsExact) {
   writer.f64(-0.0);
   writer.f64(1.0 / 3.0);
 
-  ByteReader reader(writer.bytes(), Defect::kBadRecord);
+  ByteReader reader(bytes, Defect::kBadRecord);
   EXPECT_EQ(reader.u8(), 0xab);
   EXPECT_EQ(reader.u16(), 0xbeef);
   EXPECT_EQ(reader.u32(), 0xdeadbeefu);
