@@ -697,14 +697,8 @@ void AuthServer::run_shard(Shard& shard) {
 
 void AuthServer::run() {
   ROPUF_REQUIRE(shards_[0]->listen_fd >= 0, "run() called before bind_and_listen()");
-  if (shards_.size() == 1) {
-    run_shard(*shards_[0]);
-    requests_served_.store(shards_[0]->requests_served, std::memory_order_relaxed);
-    return;
-  }
-
-  // Shards 1..N-1 get their own reactor threads; the calling thread drives
-  // shard 0, the acceptor. A shard that throws takes
+  // Shards 1..N-1 get their own reactor threads (none for one shard); the
+  // calling thread drives shard 0, the acceptor. A shard that throws takes
   // the whole server down gracefully: it requests stop so its siblings
   // drain and join, then the first exception rethrows out of run().
   std::vector<std::exception_ptr> errors(shards_.size());

@@ -166,36 +166,24 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
   ROPUF_REQUIRE(!options_.admission.enabled() ||
                     options_.admission.device_capacity >= options_.admission_shards,
                 "admission device_capacity must cover every admission shard");
-  // Device states split across slices the way the enrollment cache splits
-  // its capacity: base share per slice, remainder spread over the first
-  // slices, so the per-slice bounds sum to exactly device_capacity.
-  admission_.reserve(options_.admission_shards);
-  const std::size_t base = options_.admission.device_capacity / options_.admission_shards;
-  const std::size_t rem = options_.admission.device_capacity % options_.admission_shards;
-  for (std::size_t s = 0; s < options_.admission_shards; ++s) {
-    AdmissionOptions slice = options_.admission;
-    if (options_.admission_shards > 1) {
-      slice.device_capacity = base + (s < rem ? 1 : 0);
-    }
-    admission_.push_back(std::make_unique<AdmissionController>(slice));
-  }
-  // Detector slices mirror admission slices one-to-one (same hash routing,
-  // same capacity split), so a device's suspicion and admission state always
-  // share a slice. Disabled detectors are inert but keep the accessors safe.
   ROPUF_REQUIRE(!options_.detector.enabled ||
                     options_.detector.device_capacity >= options_.admission_shards,
                 "detector device_capacity must cover every admission shard");
-  detectors_.reserve(options_.admission_shards);
-  const std::size_t det_base =
-      options_.detector.device_capacity / options_.admission_shards;
-  const std::size_t det_rem =
-      options_.detector.device_capacity % options_.admission_shards;
-  for (std::size_t s = 0; s < options_.admission_shards; ++s) {
-    DetectorOptions slice = options_.detector;
-    if (options_.admission_shards > 1) {
-      slice.device_capacity = det_base + (s < det_rem ? 1 : 0);
-    }
-    detectors_.push_back(std::make_unique<StreamDetector>(slice));
+  // Device states split across slices the way the enrollment cache splits
+  // its capacity: base share per slice, remainder spread over the first
+  // slices, so the per-slice bounds sum to exactly each device_capacity.
+  // Disabled controllers and detectors are inert but keep the accessors safe.
+  const std::size_t slices = options_.admission_shards;
+  const auto share = [slices](std::size_t total, std::size_t s) {
+    return total / slices + (s < total % slices ? 1 : 0);
+  };
+  partitions_.reserve(slices);
+  for (std::size_t s = 0; s < slices; ++s) {
+    AdmissionOptions admission = options_.admission;
+    admission.device_capacity = share(admission.device_capacity, s);
+    DetectorOptions detector = options_.detector;
+    detector.device_capacity = share(detector.device_capacity, s);
+    partitions_.push_back(std::make_unique<Partition>(admission, detector));
   }
   ROPUF_REQUIRE(!options_.reenroll.enabled() ||
                     (options_.reenroll.device_capacity > 0 &&
@@ -208,16 +196,16 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
 }
 
 std::size_t AuthService::admission_slice_index(std::uint64_t device_id) const {
-  if (admission_.size() == 1) return 0;
-  return mix_id(device_id) % admission_.size();
+  if (partitions_.size() == 1) return 0;
+  return mix_id(device_id) % partitions_.size();
 }
 
 void AuthService::flush_admission_metrics() const {
-  for (const auto& slice : admission_) slice->flush_metrics();
+  for (const auto& partition : partitions_) partition->admission.flush_metrics();
 }
 
 std::uint32_t AuthService::suspicion_level(std::uint64_t device_id) const {
-  return detectors_[admission_slice_index(device_id)]->level(device_id);
+  return partition_of(device_id).detector.level(device_id);
 }
 
 AuthVerdict AuthService::verify(const AuthRequest& request) const {
@@ -244,20 +232,25 @@ EnrollmentCache::Entry AuthService::resolve_lookup(
   auto resolved = std::make_shared<CachedLookup>();
   resolved->epoch = epoch;
   try {
-    std::optional<puf::ConfigurableEnrollment> found = snapshot.find(device_id);
+    const std::optional<puf::ConfigurableEnrollment> found = snapshot.find(device_id);
     if (found.has_value()) {
-      resolved->enrollment = std::move(*found);
-      resolved->response = resolved->enrollment->response();
+      // The decoded record dies with this scope: the entry keeps only the
+      // packed response bits and, for a provisioned record, the v2 key.
+      resolved->response = found->response();
       // Derive the v2 verification key once per (device, epoch): Rep over
       // the clean enrollment response plus the KCV cross-check, kept as its
       // HMAC midstates. Leaving it disengaged (unprovisioned record or
       // tampered auth material) is itself a cached outcome — every proof
       // against it answers kCorruptRecord without touching the extractor
       // again.
-      if (resolved->enrollment->has_auth()) {
+      if (found->has_auth()) {
         const std::optional<crypto::Sha256Digest> key =
-            auth::derive_enrollment_key(*resolved->enrollment);
-        if (key.has_value()) resolved->auth_key.emplace(key->data(), key->size());
+            auth::derive_enrollment_key(*found);
+        if (key.has_value()) {
+          resolved->auth_key.emplace(key->data(), key->size());
+          resolved->auth_bits =
+              found->auth_helper.size() * found->auth_helper.front().size();
+        }
       }
     } else {
       resolved->outcome = CachedLookup::Outcome::kUnknownDevice;
@@ -314,9 +307,7 @@ AuthVerdict AuthService::verify_pinned(const registry::RegistrySnapshot& snapsho
   return verify_resolved(
       snapshot, request.device_id, options_.response_bits,
       [&](const CachedLookup& lookup) {
-        const puf::ConfigurableEnrollment& enrollment = *lookup.enrollment;
-        const std::size_t bits =
-            std::min(options_.response_bits, enrollment.layout.pair_count);
+        const std::size_t bits = std::min(options_.response_bits, lookup.response.size());
         if (request.response.size() != bits) {
           return AuthVerdict{AuthStatus::kMalformedRequest, 0, bits};
         }
@@ -365,16 +356,15 @@ std::vector<AuthVerdict> AuthService::verify_batch(
     const bool detect = options_.detector.enabled;
     decisions.resize(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      const std::size_t slice = admission_slice_index(requests[i].device_id);
+      Partition& partition = partition_of(requests[i].device_id);
       // The detector's escalation ladder tightens a suspicious device's
       // effective knobs at decision time; a neutral penalty reproduces the
       // static admission decision bit-for-bit.
       const AdmissionPenalty penalty =
-          detect ? detectors_[slice]->penalty(requests[i].device_id)
+          detect ? partition.detector.penalty(requests[i].device_id)
                  : AdmissionPenalty{};
-      decisions[i] =
-          admission_[slice]->admit(requests[i].device_id, requests[i].challenge,
-                                   penalty);
+      decisions[i] = partition.admission.admit(requests[i].device_id,
+                                               requests[i].challenge, penalty);
     }
   }
   std::vector<AuthVerdict> verdicts = verify_each(
@@ -403,8 +393,8 @@ std::vector<AuthVerdict> AuthService::verify_batch(
                              verdicts[i].status == AuthStatus::kReject;
       observation.accepted = verdicts[i].status == AuthStatus::kAccept;
       observation.distance = verdicts[i].distance;
-      detectors_[admission_slice_index(requests[i].device_id)]->observe(
-          requests[i].device_id, observation);
+      partition_of(requests[i].device_id)
+          .detector.observe(requests[i].device_id, observation);
     }
   }
   // Re-enrollment tracking post-pass, same contract.
@@ -428,14 +418,11 @@ AuthVerdict AuthService::verify_proof_pinned(
         // response_bits reports the helper-covered span; distance is always
         // 0 — the whole point of v2 is that no distance oracle leaves the
         // verifier.
-        const puf::ConfigurableEnrollment& enrollment = *lookup.enrollment;
-        const std::size_t covered =
-            enrollment.auth_helper.size() * enrollment.auth_helper.front().size();
         const bool valid = auth::verify_tag(*lookup.auth_key, request.nonce,
                                             request.request_id, request.device_id,
                                             request.tag);
         return AuthVerdict{valid ? AuthStatus::kAccept : AuthStatus::kReject, 0,
-                           covered};
+                           lookup.auth_bits};
       });
 }
 

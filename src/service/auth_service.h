@@ -171,34 +171,36 @@ struct AuthServiceOptions {
   ThreadBudget threads;
 };
 
-/// One resolved registry lookup, cached positively or negatively. The
-/// enrollment is engaged only for kEnrolled; the negative outcomes carry
-/// the *reason* so a cache hit reproduces the exact degradation verdict.
+/// One resolved registry lookup, cached positively or negatively: the little
+/// that verification reads, filled once per (device, epoch) by
+/// resolve_lookup. The decoded enrollment itself is never kept. The negative
+/// outcomes carry the *reason* so a cache hit reproduces the exact
+/// degradation verdict.
 struct CachedLookup {
   enum class Outcome {
-    kEnrolled,       ///< the device's record decoded; `enrollment` is engaged
+    kEnrolled,       ///< the device's record decoded
     kUnknownDevice,  ///< the id is not in the registry
     kCorruptRecord,  ///< the record raised kBadRecord on decode
   };
   Outcome outcome = Outcome::kEnrolled;
-  std::optional<puf::ConfigurableEnrollment> enrollment;
-  /// The enrollment-time response packed once at resolve time (bit p =
-  /// pair p's bit, enrollment->response()), so a v1 verify gathers its
-  /// reference bits from words rather than from Selection structs. Empty
-  /// unless kEnrolled.
-  BitVec response;
-  /// The protocol-v2 verification key as its HMAC midstates, derived once
-  /// at resolve time for provisioned records (Rep over the clean enrollment
-  /// response + KCV cross-check), so a tag check costs two compressions.
-  /// Disengaged when the record is unprovisioned or its auth material fails
-  /// the cross-check — proofs against it answer kCorruptRecord without
-  /// re-running the extractor per request.
-  std::optional<crypto::HmacSha256Key> auth_key;
   /// Registry epoch the lookup was resolved under. An entry only answers
   /// for its own epoch: a swap (delta append, compaction, SIGHUP reload)
   /// makes every older entry stale, so a replaced record can never serve
   /// from cache after its epoch retires.
   std::uint64_t epoch = 0;
+  /// The enrollment-time response, packed (bit p = pair p's bit), so its
+  /// size is the enrolled pair count. A v1 verify gathers its reference bits
+  /// from these words. Empty unless kEnrolled.
+  BitVec response;
+  /// The protocol-v2 verification key as its HMAC midstates (Rep over the
+  /// clean enrollment response + KCV cross-check), so a tag check costs two
+  /// compressions. Disengaged when the record is unprovisioned or its auth
+  /// material fails the cross-check — proofs against it answer
+  /// kCorruptRecord without re-running the extractor per request.
+  std::optional<crypto::HmacSha256Key> auth_key;
+  /// Bits the v2 helper covers (blocks x block width): the response_bits a
+  /// proof verdict reports. 0 while auth_key is disengaged.
+  std::size_t auth_bits = 0;
 };
 
 /// Sharded LRU of lookup outcomes, keyed by device id. Lookups and
@@ -335,24 +337,17 @@ class AuthService {
   /// admission_shards = 1; live counters; flush_metrics() for the
   /// per-device deny histogram). Decides kAdmit-everything when the
   /// configured AdmissionOptions are all-off.
-  AdmissionController& admission() const { return *admission_.front(); }
+  AdmissionController& admission() const { return partitions_.front()->admission; }
 
   /// Admission partitions (== options().admission_shards).
-  std::size_t admission_shard_count() const { return admission_.size(); }
-  /// The slice that owns a device's admission state: constant per device,
-  /// independent of connections, reactor shards, and arrival order.
+  std::size_t admission_shard_count() const { return partitions_.size(); }
+  /// The slice that owns a device's admission and suspicion state: constant
+  /// per device, independent of connections, reactor shards, and arrival
+  /// order.
   std::size_t admission_slice_index(std::uint64_t device_id) const;
-  AdmissionController& admission_slice(std::size_t slice) const {
-    return *admission_[slice];
-  }
   /// Flushes every slice's per-device deny histogram (slice order).
   void flush_admission_metrics() const;
 
-  /// The stream detector owning a device's suspicion state (same slice
-  /// routing as admission). Inert when options().detector.enabled is false.
-  StreamDetector& detector_slice(std::size_t slice) const {
-    return *detectors_[slice];
-  }
   /// The device's current escalation-ladder level (0 = unsuspected).
   std::uint32_t suspicion_level(std::uint64_t device_id) const;
 
@@ -402,13 +397,24 @@ class AuthService {
   AuthServiceOptions options_;
   mutable EnrollmentCache cache_;
   mutable EnrollmentCache unknown_cache_;
-  /// One controller per admission slice, device-id-hash routed.
-  mutable std::vector<std::unique_ptr<AdmissionController>> admission_;
-  /// One stream detector per admission slice (detector.h): the admission
-  /// pre-pass reads penalties from it, a serial post-pass feeds it the
-  /// batch's (challenge, guess-weight, verdict-distance) observations in
-  /// arrival order. Like re-enrollment tracking it never alters a verdict.
-  mutable std::vector<std::unique_ptr<StreamDetector>> detectors_;
+  /// One admission slice's policy state. The admission pre-pass reads the
+  /// detector's penalty before it decides; a serial post-pass feeds the
+  /// detector the batch's (challenge, guess-weight, verdict-distance)
+  /// observations in arrival order. Like re-enrollment tracking, neither
+  /// ever alters a verdict.
+  struct Partition {
+    Partition(const AdmissionOptions& admission_options,
+              const DetectorOptions& detector_options)
+        : admission(admission_options), detector(detector_options) {}
+    AdmissionController admission;
+    StreamDetector detector;
+  };
+  /// One partition per admission slice, device-id-hash routed, so a device's
+  /// admission and suspicion state always live together.
+  std::vector<std::unique_ptr<Partition>> partitions_;
+  Partition& partition_of(std::uint64_t device_id) const {
+    return *partitions_[admission_slice_index(device_id)];
+  }
 
   /// Re-enrollment streak tracker + queue (serial post-pass state; the
   /// mutex covers concurrent verify_batch callers, e.g. server shards).

@@ -1,5 +1,5 @@
 // A counting replacement of the global allocator, for tests that assert a
-// code path makes no heap allocation.
+// code path makes no heap allocation or bound the heap a structure holds.
 //
 // This header *defines* the replaceable global operator new and delete, so
 // include it in exactly one source file of a test binary. Every form that
@@ -9,6 +9,8 @@
 // delete (or free meet operator new's pointer) and warns
 // -Wmismatched-new-delete, which -Werror turns into a failed Release build.
 #pragma once
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstddef>
@@ -20,9 +22,21 @@ namespace counting_alloc {
 /// Heap allocations since the process started, on any thread.
 inline std::atomic<std::size_t> allocations{0};
 
+/// Bytes held right now by blocks from operator new, on any thread: each
+/// block counts its malloc_usable_size from allocation until release.
+inline std::atomic<std::size_t> live_bytes{0};
+
 inline void* allocate(std::size_t size) {
   allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
+  return p;
+}
+
+inline void release(void* p) {
+  if (p == nullptr) return;
+  live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
 }
 
 /// Heap allocations made by `calls` runs of fn(i).
@@ -46,9 +60,17 @@ std::size_t allocations_over(std::size_t calls, const Fn& fn) {
 [[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return counting_alloc::allocate(size);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { counting_alloc::release(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { counting_alloc::release(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  counting_alloc::release(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  counting_alloc::release(p);
+}
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counting_alloc::release(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counting_alloc::release(p);
+}

@@ -1,4 +1,4 @@
-// Heap allocations on the v1 serving path.
+// Heap allocations on the v1 serving path, and the heap a warm cache holds.
 //
 // A warm v1 request goes from frame to answer through the payload decode,
 // a cache hit in the service, the challenge expansion, the gather from the
@@ -7,7 +7,8 @@
 // the global operator new with a counting one (counting_alloc.h), asserts
 // zero allocations over many calls of each step, and then drives a live
 // AuthServer to bound the allocations per batch of 256 v1 requests and of
-// 256 v2 proofs once the server is warm.
+// 256 v2 proofs once the server is warm. It also bounds the live heap each
+// warm cache entry holds over a servebench-sized fleet.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,7 +20,6 @@
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "auth/auth.h"
@@ -31,11 +31,13 @@
 #include "puf/crp.h"
 #include "registry/registry.h"
 #include "service/auth_service.h"
+#include "serving_harness.h"
 
 namespace ropuf {
 namespace {
 
 using counting_alloc::allocations_over;
+using test::small_registry;
 
 constexpr std::size_t kCalls = 10000;
 constexpr std::size_t kBatch = 256;
@@ -47,15 +49,6 @@ constexpr std::size_t kPerBatchBound = 16;
 
 /// Where the loops leave their results, so no call can be dropped.
 volatile std::size_t g_sink = 0;
-
-registry::Registry small_registry(std::size_t devices = 24) {
-  registry::FleetSpec spec;
-  spec.devices = devices;
-  spec.stages = 5;
-  spec.pairs = 16;
-  spec.seed = 0x5e12e;
-  return registry::Registry::from_bytes(registry::build_fleet_registry(spec));
-}
 
 /// A genuine 16-bit request for device `index` of the registry.
 service::AuthRequest genuine_request(const registry::Registry& registry, std::size_t index,
@@ -158,6 +151,54 @@ TEST(V1Allocations, ChallengeExpansionAllocatesNothingUpToTheStackBound) {
   EXPECT_EQ(puf::reference_distance(request.challenge, enrolled, request.response), 0u);
 }
 
+// --------------------------------------------------------- cache entries
+
+/// The servebench v1_hot fleet size.
+constexpr std::size_t kFleetDevices = 2048;
+/// Live heap one warm cache entry may hold: its record (outcome, epoch,
+/// packed reference bits, v2 key midstates and covered count) with the
+/// shared_ptr control block, and the LRU node and hash-map node and bucket
+/// that index it. A decoded enrollment kept in the entry would exceed it.
+constexpr std::size_t kEntryHeapBound = 512;
+
+TEST(CacheFootprint, CounterSeesLiveBytesComeAndGo) {
+  // Without this the heap bound below could pass on a counter that never
+  // runs.
+  const std::size_t before = counting_alloc::live_bytes.load();
+  std::size_t held = 0;
+  {
+    const std::vector<char> block(4096);
+    g_sink = block.size();
+    held = counting_alloc::live_bytes.load() - before;
+  }
+  EXPECT_GE(held, 4096u);
+  EXPECT_EQ(counting_alloc::live_bytes.load(), before);
+}
+
+TEST(CacheFootprint, AWarmEntryHoldsAtMost512HeapBytes) {
+  const registry::Registry registry = small_registry(kFleetDevices);
+  const service::AuthService service(&registry, {});
+  ASSERT_GE(service.options().cache_capacity, kFleetDevices);
+  // An unknown id first, so the service's static instruments and the
+  // unknown-device cache's first node stay out of the measurement.
+  const std::uint64_t unknown = ~std::uint64_t{0};
+  ASSERT_FALSE(registry.contains(unknown));
+  ASSERT_EQ(service.verify({unknown, 1, BitVec(16)}).status,
+            service::AuthStatus::kUnknownDevice);
+
+  const std::size_t before = counting_alloc::live_bytes.load();
+  for (std::size_t d = 0; d < kFleetDevices; ++d) {
+    g_sink = service.verify({registry.device_id_at(d), d, BitVec(16)}).response_bits;
+  }
+  const std::size_t held = counting_alloc::live_bytes.load() - before;
+  ASSERT_EQ(service.cache_size(), kFleetDevices);
+  const std::size_t per_entry = held / kFleetDevices;
+  EXPECT_LE(per_entry, kEntryHeapBound) << held << " live bytes over " << kFleetDevices
+                                        << " warm entries";
+  // Every entry holds at least its record.
+  EXPECT_GE(per_entry, sizeof(service::CachedLookup));
+}
+
 // ------------------------------------------------------------ live server
 
 /// A blocking loopback connection that reads into caller-owned storage, so
@@ -201,41 +242,12 @@ class RawPeer {
   int fd_ = -1;
 };
 
-/// Service + server + loop thread over the small registry, torn down in
-/// order. One verification thread, as servebench serves.
-class LiveServer {
- public:
-  LiveServer() : registry_(small_registry()), service_(&registry_, options()),
-                 server_(&service_, server_options()) {
-    port_ = server_.bind_and_listen();
-    thread_ = std::thread([this] { server_.run(); });
-  }
-  ~LiveServer() {
-    server_.request_stop();
-    thread_.join();
-  }
-
-  const registry::Registry& registry() const { return registry_; }
-  std::uint16_t port() const { return port_; }
-
- private:
-  static service::AuthServiceOptions options() {
-    service::AuthServiceOptions options;
-    options.threads = ThreadBudget(1);
-    return options;
-  }
-  static net::ServerOptions server_options() {
-    net::ServerOptions options;
-    options.poll_interval_ms = 2;
-    return options;
-  }
-
-  registry::Registry registry_;
-  service::AuthService service_;
-  net::AuthServer server_;
-  std::uint16_t port_ = 0;
-  std::thread thread_;
-};
+/// One verification thread, as servebench serves.
+service::AuthServiceOptions one_thread() {
+  service::AuthServiceOptions options;
+  options.threads = ThreadBudget(1);
+  return options;
+}
 
 /// The answers in `bytes`, decoded in order (v2 answers drop their ids).
 std::vector<net::WireResponse> decode_answers(const std::vector<char>& bytes,
@@ -253,7 +265,7 @@ std::vector<net::WireResponse> decode_answers(const std::vector<char>& bytes,
 }
 
 TEST(ServedAllocations, V1BatchesAllocateASmallConstantEach) {
-  LiveServer live;
+  const test::ServerHarness live({}, one_thread());
   std::string blob;
   for (std::size_t i = 0; i < kBatch; ++i) {
     blob += net::encode_request_frame(genuine_request(live.registry(), i, 0x5eed + i));
@@ -281,7 +293,7 @@ TEST(ServedAllocations, V1BatchesAllocateASmallConstantEach) {
 }
 
 TEST(ServedAllocations, V2ProofBatchesAllocateASmallConstantEach) {
-  LiveServer live;
+  const test::ServerHarness live({}, one_thread());
   service::WorkloadSpec spec;
   spec.requests = kBatch;
   spec.flip_rate = 0.0;

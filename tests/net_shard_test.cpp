@@ -20,19 +20,13 @@
 #include "puf/crp.h"
 #include "registry/registry.h"
 #include "service/auth_service.h"
+#include "serving_harness.h"
 
 namespace {
 
 using namespace ropuf;
-
-registry::Registry small_registry(std::size_t devices = 24) {
-  registry::FleetSpec spec;
-  spec.devices = devices;
-  spec.stages = 5;
-  spec.pairs = 16;
-  spec.seed = 0x5e12e;
-  return registry::Registry::from_bytes(registry::build_fleet_registry(spec));
-}
+using test::ServerHarness;
+using test::small_registry;
 
 std::vector<service::AuthRequest> small_workload(const registry::Registry& reg,
                                                  const service::AuthServiceOptions& opts,
@@ -57,51 +51,6 @@ service::AuthRequest genuine_request(const registry::Registry& reg,
   const puf::CrpOracle oracle(&enrollment, opts.response_bits);
   return {id, challenge, oracle.reference(challenge)};
 }
-
-/// Registry + service + sharded server + run() thread, torn down in order.
-/// run() itself spawns the shard reactors, so the harness thread count is
-/// one regardless of the shard count.
-class ShardHarness {
- public:
-  explicit ShardHarness(net::ServerOptions options,
-                        service::AuthServiceOptions auth_options = {})
-      : registry_(small_registry()),
-        service_(&registry_, auth_options),
-        server_(&service_, fast(options)) {
-    port_ = server_.bind_and_listen();
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~ShardHarness() {
-    server_.request_stop();
-    thread_.join();
-  }
-
-  const registry::Registry& registry() const { return registry_; }
-  net::AuthServer& server() { return server_; }
-
-  net::AuthClient client(std::size_t window = 128) const {
-    net::ClientOptions options;
-    options.port = port_;
-    options.window = window;
-    net::AuthClient c(options);
-    c.connect();
-    return c;
-  }
-
- private:
-  static net::ServerOptions fast(net::ServerOptions options) {
-    options.port = 0;
-    options.poll_interval_ms = 2;
-    return options;
-  }
-
-  registry::Registry registry_;
-  service::AuthService service_;
-  net::AuthServer server_;
-  std::uint16_t port_ = 0;
-  std::thread thread_;
-};
 
 net::ServerOptions sharded(std::size_t shards) {
   net::ServerOptions options;
@@ -138,7 +87,7 @@ TEST(ShardedAuthServer, DigestParityAcrossShardAndThreadMatrix) {
   for (const std::size_t shards : {1u, 2u, 4u}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       set_thread_budget_override(threads);
-      ShardHarness harness(sharded(shards), auth_options);
+      ServerHarness harness(sharded(shards), auth_options);
       const auto requests = small_workload(harness.registry(), auth_options, 96);
       const std::vector<service::AuthVerdict> expected = offline.verify_batch(requests);
 
@@ -180,7 +129,7 @@ TEST(ShardedAuthServer, RoundRobinPlacesConnectionsAcrossShardsInOrder) {
   const std::uint64_t before0 = shard0.value();
   const std::uint64_t before1 = shard1.value();
 
-  ShardHarness harness(sharded(2));
+  ServerHarness harness(sharded(2));
   EXPECT_EQ(harness.server().shard_count(), 2u);
 
   const auto requests = small_workload(harness.registry(), {}, 8);
@@ -207,7 +156,7 @@ TEST(ShardedAuthServer, AdmissionSticksToTheDeviceNotTheReactorShard) {
   auth_options.admission.rate_burst = 2;
   auth_options.admission.rate_interval = 1u << 20;
   auth_options.admission_shards = 2;
-  ShardHarness harness(sharded(2), auth_options);
+  ServerHarness harness(sharded(2), auth_options);
 
   std::vector<service::AuthRequest> first_conn;
   std::vector<service::AuthRequest> second_conn;
@@ -243,7 +192,7 @@ TEST(ShardedAuthServer, GracefulDrainAnswersInFlightRequestsOnEveryShard) {
   obs::Registry& registry = obs::Registry::instance();
   obs::Counter& enqueued = registry.counter("net.requests_enqueued");
 
-  ShardHarness harness(sharded(2));
+  ServerHarness harness(sharded(2));
   const auto requests = small_workload(harness.registry(), {}, 32);
 
   net::AuthClient a = harness.client();

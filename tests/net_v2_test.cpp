@@ -29,62 +29,12 @@
 #include "registry/format.h"
 #include "registry/registry.h"
 #include "service/auth_service.h"
+#include "serving_harness.h"
 
 namespace {
 
 using namespace ropuf;
-
-registry::Registry small_registry(std::size_t devices = 24) {
-  registry::FleetSpec spec;
-  spec.devices = devices;
-  spec.stages = 5;
-  spec.pairs = 16;
-  spec.seed = 0x5e12e;
-  return registry::Registry::from_bytes(registry::build_fleet_registry(spec));
-}
-
-/// Registry + service + server + loop thread, torn down in order.
-class ServerHarness {
- public:
-  explicit ServerHarness(net::ServerOptions options = {},
-                         service::AuthServiceOptions auth_options = {})
-      : registry_(small_registry()),
-        service_(&registry_, auth_options),
-        server_(&service_, fast(options)) {
-    port_ = server_.bind_and_listen();
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~ServerHarness() {
-    server_.request_stop();
-    thread_.join();
-  }
-
-  const registry::Registry& registry() const { return registry_; }
-
-  net::AuthClient client(std::size_t window = 128) const {
-    net::ClientOptions options;
-    options.port = port_;
-    options.window = window;
-    net::AuthClient c(options);
-    c.connect();
-    return c;
-  }
-
- private:
-  /// Tests poll fast regardless of what a test case configures.
-  static net::ServerOptions fast(net::ServerOptions options) {
-    options.port = 0;
-    options.poll_interval_ms = 2;
-    return options;
-  }
-
-  registry::Registry registry_;
-  service::AuthService service_;
-  net::AuthServer server_;
-  std::uint16_t port_ = 0;
-  std::thread thread_;
-};
+using test::ServerHarness;
 
 /// Hand-builds a frame with a VALID header and CRC around an arbitrary
 /// payload — the escape hatch for payloads the public encoders refuse to

@@ -167,8 +167,7 @@ TEST(EnrollmentCache, BoundsItsSizeAndEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.capacity(), 3u);
   const auto entry = [](std::size_t pairs) {
     auto e = std::make_shared<CachedLookup>();
-    e->enrollment.emplace();
-    e->enrollment->layout.pair_count = pairs;
+    e->response = BitVec(pairs);
     return std::shared_ptr<const CachedLookup>(std::move(e));
   };
   cache.put(1, entry(1));

@@ -39,19 +39,12 @@
 #include "registry/epoch.h"
 #include "registry/registry.h"
 #include "service/auth_service.h"
+#include "serving_harness.h"
 
 namespace {
 
 using namespace ropuf;
-
-registry::Registry small_registry(std::size_t devices = 24) {
-  registry::FleetSpec spec;
-  spec.devices = devices;
-  spec.stages = 5;
-  spec.pairs = 16;
-  spec.seed = 0x5e12e;
-  return registry::Registry::from_bytes(registry::build_fleet_registry(spec));
-}
+using test::small_registry;
 
 /// A synthetic enrollment with the fleet's layout — stands in for a
 /// re-measured or newly enrolled device without minting silicon.

@@ -1,28 +1,68 @@
-# Regression test for option parsing: numeric options with trailing junk
-# must be rejected loudly, not silently truncated (e.g. "1.2abc" -> 1.2).
-execute_process(COMMAND ${CLI} fleet-stats --boards 8abc
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "fleet-stats accepted '--boards 8abc': ${out}")
-endif()
-if(NOT err MATCHES "trailing junk in value '8abc' for --boards")
-  message(FATAL_ERROR "missing trailing-junk diagnostic: ${err}")
+# Regression test for option parsing: a value the tools cannot represent
+# exactly must be rejected loudly, never silently truncated ("1.2abc" ->
+# 1.2), rounded (a 64-bit seed through a double), wrapped (-1 or 2^64 into
+# a u64, 70000 into a port) or ignored (an on|off switch given "yes").
+
+# A command that must exit with a nonzero status (not a timeout or a
+# signal) and print `diagnostic` on stderr. Every case runs under a timeout,
+# so a server that binds or a soak that runs instead of rejecting its flags
+# fails the case instead of hanging it.
+function(expect_rejected diagnostic)
+  execute_process(COMMAND ${ARGN} TIMEOUT 30
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc MATCHES "^[1-9][0-9]*$")
+    message(FATAL_ERROR "'${ARGN}' was not rejected (result '${rc}'): ${out}")
+  endif()
+  if(NOT err MATCHES "${diagnostic}")
+    message(FATAL_ERROR "'${ARGN}' lacks the diagnostic '${diagnostic}': ${err}")
+  endif()
+endfunction()
+
+expect_rejected("trailing junk in value '8abc' for --boards"
+                ${CLI} fleet-stats --boards 8abc)
+expect_rejected("trailing junk in value '1.2abc' for --pairs"
+                ${CLI} enroll --seed 42 --pairs 1.2abc)
+expect_rejected("non-numeric value 'nope' for --streams"
+                ${CLI} nist --streams nope)
+
+# 64-bit seeds parse exactly: 2^53 and 2^53 + 1 are two fleets, and the
+# largest u64 is a seed like any other.
+foreach(seed 9007199254740992 9007199254740993 18446744073709551615)
+  set(fleet ${WORKDIR}/cli_bad_args_${seed}.ropufreg)
+  execute_process(COMMAND ${CLI} registry-build --devices 4 --seed ${seed} --out ${fleet}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "registry-build --seed ${seed} failed: ${err}")
+  endif()
+  file(SHA256 ${fleet} fleet_${seed})
+endforeach()
+if(fleet_9007199254740992 STREQUAL fleet_9007199254740993)
+  message(FATAL_ERROR "--seed 2^53 and 2^53 + 1 minted byte-identical fleets")
 endif()
 
-execute_process(COMMAND ${CLI} enroll --seed 42 --pairs 1.2abc
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "enroll accepted '--pairs 1.2abc': ${out}")
-endif()
-if(NOT err MATCHES "trailing junk in value '1.2abc' for --pairs")
-  message(FATAL_ERROR "missing trailing-junk diagnostic: ${err}")
-endif()
+# Past the u64 range, signed, or not an integer: rejected, naming the flag.
+set(u64_diagnostic "must be a decimal integer")
+expect_rejected("--seed ${u64_diagnostic}"
+                ${CLI} registry-build --devices 4 --seed 18446744073709551616
+                --out ${WORKDIR}/cli_bad_args_2p64.ropufreg)
+expect_rejected("--seed ${u64_diagnostic}"
+                ${CLI} registry-build --devices 4 --seed -1
+                --out ${WORKDIR}/cli_bad_args_minus1.ropufreg)
+expect_rejected("--workload-seed ${u64_diagnostic}"
+                ${CLI} auth-batch --devices 4 --workload-seed 1e3)
+expect_rejected("device id in --retire ${u64_diagnostic}"
+                ${CLI} registry-append --registry
+                ${WORKDIR}/cli_bad_args_18446744073709551615.ropufreg --retire -1)
+expect_rejected("--nonce-seed ${u64_diagnostic}"
+                ${SERVE} --devices 4 --nonce-seed 18446744073709551616)
+expect_rejected("--soak-seed ${u64_diagnostic}"
+                ${SOAK} --devices 4 --soak-seed 18446744073709551616)
 
-execute_process(COMMAND ${CLI} nist --streams nope
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "nist accepted '--streams nope': ${out}")
-endif()
-if(NOT err MATCHES "non-numeric value 'nope' for --streams")
-  message(FATAL_ERROR "missing non-numeric diagnostic: ${err}")
-endif()
+# Ports stop at 65535 (0 stays the ephemeral port).
+expect_rejected("--port must be in" ${SERVE} --devices 4 --port 70000)
+expect_rejected("--port must be in" ${CLI} auth-client --devices 4 --port 70000)
+
+# The soak's switches take on|off like --detector, not "on" or anything else.
+foreach(switch compare require-defense require-detector)
+  expect_rejected("--${switch} must be on" ${SOAK} --devices 4 --${switch} yes)
+endforeach()

@@ -5,12 +5,14 @@
 // in common. Header-only so each tool stays a single translation unit.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <map>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/error.h"
@@ -62,6 +64,34 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Strict decimal u64: the whole token, digits only (no sign, blank or
+/// exponent), and no value past 2^64 - 1. Seeds, ids and counts parse here
+/// rather than through Args::number, whose double keeps only 53 bits.
+/// `what` names the value in the diagnostic ("--seed").
+inline std::uint64_t parse_u64(const std::string& token, const std::string& what) {
+  std::uint64_t value = 0;
+  const char* const end = token.data() + token.size();
+  const std::from_chars_result parsed = std::from_chars(token.data(), end, value);
+  ROPUF_REQUIRE(parsed.ec == std::errc{} && parsed.ptr == end,
+                what + " must be a decimal integer in [0, 2^64-1], got '" + token + "'");
+  return value;
+}
+
+/// Strict non-negative integer option (seeds, ids, counts, bounds): exact
+/// over the whole u64 range, so a negative or out-of-range value fails the
+/// flag parse instead of wrapping through an unsigned cast.
+inline std::uint64_t u64_arg(const Args& args, const std::string& key,
+                             std::uint64_t fallback) {
+  return args.has(key) ? parse_u64(args.get(key, ""), "--" + key) : fallback;
+}
+
+/// --port: 0 (a kernel-assigned ephemeral port) through 65535.
+inline std::uint16_t port_arg(const Args& args) {
+  const std::uint64_t port = u64_arg(args, "port", 0);
+  ROPUF_REQUIRE(port <= 65535, "--port must be in [0, 65535], got " + std::to_string(port));
+  return static_cast<std::uint16_t>(port);
+}
 
 /// Shared --threads handling: a positive integer sets the process-wide
 /// thread budget (overriding ROPUF_THREADS); outputs are bit-identical for
@@ -137,7 +167,7 @@ inline registry::FleetSpec fleet_spec_from_args(const Args& args) {
   ROPUF_REQUIRE(mode_name == "case1" || mode_name == "case2", "mode must be case1|case2");
   spec.mode = mode_name == "case1" ? puf::SelectionCase::kSameConfig
                                    : puf::SelectionCase::kIndependent;
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 0x5ca1ab1e));
+  spec.seed = u64_arg(args, "seed", 0x5ca1ab1e);
   spec.noise_sigma_ps = args.number("noise", 0.5);
   return spec;
 }
@@ -150,17 +180,6 @@ inline registry::Registry registry_from_args(const Args& args) {
   }
   return registry::Registry::from_bytes(
       registry::build_fleet_registry(fleet_spec_from_args(args)));
-}
-
-/// Strict non-negative-integer option (admission knobs, bounds): rejects
-/// negative and fractional values eagerly instead of wrapping them through
-/// an unsigned cast.
-inline std::uint64_t count_arg(const Args& args, const std::string& key,
-                               double fallback) {
-  const double value = args.number(key, fallback);
-  ROPUF_REQUIRE(value >= 0.0 && value == std::floor(value),
-                "--" + key + " must be a non-negative integer");
-  return static_cast<std::uint64_t>(value);
 }
 
 /// Strict on|off option.
@@ -183,26 +202,26 @@ inline service::AuthServiceOptions auth_options_from_args(const Args& args) {
   opts.cache_capacity = static_cast<std::size_t>(args.number("cache", 4096));
   opts.unknown_cache_capacity =
       static_cast<std::size_t>(args.number("unknown-cache", 256));
-  opts.admission.rate_burst = count_arg(args, "rate-burst", 0);
-  opts.admission.rate_interval = count_arg(args, "rate-interval", 0);
-  opts.admission.crp_budget = count_arg(args, "crp-budget", 0);
-  opts.admission.reuse_budget = count_arg(args, "reuse-budget", 0);
+  opts.admission.rate_burst = u64_arg(args, "rate-burst", 0);
+  opts.admission.rate_interval = u64_arg(args, "rate-interval", 0);
+  opts.admission.crp_budget = u64_arg(args, "crp-budget", 0);
+  opts.admission.reuse_budget = u64_arg(args, "reuse-budget", 0);
   opts.admission.challenge_sketch =
-      static_cast<std::size_t>(count_arg(args, "challenge-sketch", 64));
+      static_cast<std::size_t>(u64_arg(args, "challenge-sketch", 64));
   opts.admission.device_capacity =
-      static_cast<std::size_t>(count_arg(args, "admission-devices", 4096));
+      static_cast<std::size_t>(u64_arg(args, "admission-devices", 4096));
   opts.detector.enabled = switch_arg(args, "detector", false);
   opts.detector.window =
-      static_cast<std::size_t>(count_arg(args, "detector-window", 32));
+      static_cast<std::size_t>(u64_arg(args, "detector-window", 32));
   opts.detector.escalate_threshold =
-      static_cast<std::uint32_t>(count_arg(args, "detector-threshold", 8));
+      static_cast<std::uint32_t>(u64_arg(args, "detector-threshold", 8));
   opts.detector.max_level =
-      static_cast<std::uint32_t>(count_arg(args, "detector-max-level", 4));
-  opts.detector.decay_window = count_arg(args, "detector-decay", 64);
+      static_cast<std::uint32_t>(u64_arg(args, "detector-max-level", 4));
+  opts.detector.decay_window = u64_arg(args, "detector-decay", 64);
   opts.detector.device_capacity =
-      static_cast<std::size_t>(count_arg(args, "detector-devices", 4096));
+      static_cast<std::size_t>(u64_arg(args, "detector-devices", 4096));
   opts.reenroll.fail_threshold =
-      static_cast<std::size_t>(count_arg(args, "reenroll-threshold", 0));
+      static_cast<std::size_t>(u64_arg(args, "reenroll-threshold", 0));
   return opts;
 }
 

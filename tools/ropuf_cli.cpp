@@ -67,7 +67,7 @@ sil::Chip chip_for_seed(std::uint64_t seed) {
 std::optional<sil::FaultInjector> fault_injector_from_args(const Args& args) {
   const double rate = args.number("fault-rate", 0.0);
   if (rate <= 0.0) return std::nullopt;
-  const auto seed = static_cast<std::uint64_t>(args.number("fault-seed", 0xfa017));
+  const std::uint64_t seed = u64_arg(args, "fault-seed", 0xfa017);
   return sil::FaultInjector(sil::FaultPlan::uniform(rate), seed);
 }
 
@@ -87,7 +87,7 @@ int cmd_fleet_stats(const Args& args) {
   sil::VtFleetSpec spec;
   spec.nominal_boards = boards;
   spec.env_boards = 0;
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 0x20140601));
+  spec.seed = u64_arg(args, "seed", 0x20140601);
   const sil::VtFleet fleet = sil::make_vt_fleet(spec);
 
   analysis::DatasetOptions opts;
@@ -100,7 +100,7 @@ int cmd_fleet_stats(const Args& args) {
 }
 
 int cmd_enroll(const Args& args) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 1));
+  const std::uint64_t seed = u64_arg(args, "seed", 1);
   const std::size_t stages = static_cast<std::size_t>(args.number("stages", 7));
   const std::size_t pairs = static_cast<std::size_t>(args.number("pairs", 32));
   const std::string mode_name = args.get("mode", "case2");
@@ -133,7 +133,7 @@ int cmd_enroll(const Args& args) {
 }
 
 int cmd_respond(const Args& args) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 1));
+  const std::uint64_t seed = u64_arg(args, "seed", 1);
   const std::string path = args.get("enrollment", "enrollment.ropuf");
   std::ifstream file(path);
   ROPUF_REQUIRE(file.good(), "cannot open enrollment file " + path);
@@ -167,9 +167,8 @@ int cmd_fault_sweep(const Args& args) {
   // nominal under an injected fault campaign, derive a key through the
   // code-offset fuzzy extractor, re-measure under the same campaign, and
   // check the key reproduces — hardened pipeline vs. the naive one.
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  const std::uint64_t fault_seed =
-      static_cast<std::uint64_t>(args.number("fault-seed", 0xfa017));
+  const std::uint64_t seed = u64_arg(args, "seed", 1);
+  const std::uint64_t fault_seed = u64_arg(args, "fault-seed", 0xfa017);
   const int trials = static_cast<int>(args.number("trials", 5));
   ROPUF_REQUIRE(trials >= 1, "trials must be >= 1");
   const double max_rate = args.number("max-rate", 0.02);
@@ -240,7 +239,7 @@ int cmd_nist(const Args& args) {
   const double bias = args.number("bias", 0.5);
   ROPUF_REQUIRE(bias > 0.0 && bias < 1.0, "bias must be in (0, 1)");
 
-  Rng rng(static_cast<std::uint64_t>(args.number("seed", 7)));
+  Rng rng(u64_arg(args, "seed", 7));
   nist::FinalAnalysisReport report;
   const nist::SuiteConfig config =
       bits <= 256 ? nist::paper_config() : nist::SuiteConfig{};
@@ -263,7 +262,7 @@ int cmd_stats(const Args& args) {
   // the golden-file test relies on.
   obs::set_metrics_enabled(true);
   obs::Registry::instance().reset();
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed", 42));
+  const std::uint64_t seed = u64_arg(args, "seed", 42);
 
   // 1) Full-circuit device: hardened enroll + respond under a mild fault
   //    campaign (exercises robust_measure, dark-bit masking, the counter).
@@ -315,7 +314,7 @@ int cmd_export_dataset(const Args& args) {
   sil::VtFleetSpec spec;
   spec.nominal_boards = boards;
   spec.env_boards = 0;
-  spec.seed = static_cast<std::uint64_t>(args.number("seed", 0x20140601));
+  spec.seed = u64_arg(args, "seed", 0x20140601);
   const sil::VtFleet fleet = sil::make_vt_fleet(spec);
   Rng rng(spec.seed ^ 0xdada);
   const sil::MeasurementTable table =
@@ -365,7 +364,7 @@ int cmd_registry_build(const Args& args) {
   if (args.has("enrollments")) {
     // Conversion path: pack existing v1 text enrollments into one registry.
     registry::RegistryBuilder builder;
-    std::uint64_t id = static_cast<std::uint64_t>(args.number("base-id", 1));
+    std::uint64_t id = u64_arg(args, "base-id", 1);
     std::stringstream list(args.get("enrollments", ""));
     std::string path;
     while (std::getline(list, path, ',')) {
@@ -391,20 +390,6 @@ int cmd_registry_build(const Args& args) {
   return 0;
 }
 
-/// Strict u64 parse for the comma-separated --retire list.
-std::uint64_t parse_device_id(const std::string& token) {
-  std::size_t consumed = 0;
-  unsigned long long value = 0;
-  try {
-    value = std::stoull(token, &consumed);
-  } catch (const std::exception&) {
-    ROPUF_REQUIRE(false, "non-numeric device id '" + token + "' in --retire");
-  }
-  ROPUF_REQUIRE(consumed == token.size(),
-                "trailing junk in device id '" + token + "' in --retire");
-  return static_cast<std::uint64_t>(value);
-}
-
 int cmd_registry_append(const Args& args) {
   ROPUF_REQUIRE(args.has("registry"), "--registry is required");
   const std::string base_path = args.get("registry", "");
@@ -427,7 +412,7 @@ int cmd_registry_append(const Args& args) {
     std::string token;
     while (std::getline(list, token, ',')) {
       ROPUF_REQUIRE(!token.empty(), "empty id in --retire list");
-      builder.retire(parse_device_id(token));
+      builder.retire(parse_u64(token, "device id in --retire"));
     }
   }
   ROPUF_REQUIRE(builder.entry_count() > 0,
@@ -524,7 +509,7 @@ service::WorkloadSpec workload_from_args(const Args& args) {
   workload.flip_rate = args.number("flip-rate", 0.01);
   workload.forge_rate = args.number("forge-rate", 0.05);
   workload.unknown_rate = args.number("unknown-rate", 0.02);
-  workload.seed = static_cast<std::uint64_t>(args.number("workload-seed", 0x570ca57));
+  workload.seed = u64_arg(args, "workload-seed", 0x570ca57);
   return workload;
 }
 
@@ -556,7 +541,7 @@ int cmd_auth_batch(const Args& args) {
   const registry::Registry reg = registry_from_args(args);
   const service::AuthServiceOptions opts = auth_options_from_args(args);
   const service::AuthService svc(&reg, opts);
-  const std::uint64_t protocol = count_arg(args, "protocol", 1);
+  const std::uint64_t protocol = u64_arg(args, "protocol", 1);
   ROPUF_REQUIRE(protocol == 1 || protocol == 2, "--protocol must be 1 or 2");
 
   service::WorkloadSpec workload = workload_from_args(args);
@@ -589,12 +574,12 @@ int cmd_auth_client(const Args& args) {
   ROPUF_REQUIRE(args.has("port"), "--port is required");
   const registry::Registry reg = registry_from_args(args);
   const service::AuthServiceOptions opts = auth_options_from_args(args);
-  const std::uint64_t protocol = count_arg(args, "protocol", 1);
+  const std::uint64_t protocol = u64_arg(args, "protocol", 1);
   ROPUF_REQUIRE(protocol == 1 || protocol == 2, "--protocol must be 1 or 2");
 
   net::ClientOptions client_opts;
   client_opts.host = args.get("host", "127.0.0.1");
-  client_opts.port = static_cast<std::uint16_t>(args.number("port", 0));
+  client_opts.port = port_arg(args);
   client_opts.window = static_cast<std::size_t>(args.number("window", 128));
   net::AuthClient client(client_opts);
   client.connect();

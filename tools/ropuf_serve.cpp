@@ -65,7 +65,7 @@ void handle_reload_signal(int) {
 }
 
 int serve(const Args& args) {
-  const std::size_t shards = static_cast<std::size_t>(count_arg(args, "shards", 1));
+  const std::size_t shards = static_cast<std::size_t>(u64_arg(args, "shards", 1));
   ROPUF_REQUIRE(shards > 0, "--shards must be positive");
 
   const bool from_file = args.has("registry");
@@ -92,23 +92,23 @@ int serve(const Args& args) {
   net::ServerOptions opts;
   opts.shards = shards;
   opts.bind_address = args.get("bind", "127.0.0.1");
-  opts.port = static_cast<std::uint16_t>(args.number("port", 0));
-  // count_arg rejects negative values eagerly; a negative bound must fail
+  opts.port = port_arg(args);
+  // u64_arg rejects negative values eagerly; a negative bound must fail
   // the flag parse, never wrap through an unsigned cast into a huge limit.
-  opts.max_connections = static_cast<std::size_t>(count_arg(args, "max-connections", 256));
-  opts.max_pending = static_cast<std::size_t>(count_arg(args, "max-pending", 1024));
-  opts.max_batch = static_cast<std::size_t>(count_arg(args, "max-batch", 256));
+  opts.max_connections = static_cast<std::size_t>(u64_arg(args, "max-connections", 256));
+  opts.max_pending = static_cast<std::size_t>(u64_arg(args, "max-pending", 1024));
+  opts.max_batch = static_cast<std::size_t>(u64_arg(args, "max-batch", 256));
   opts.max_read_per_sweep =
-      static_cast<std::size_t>(count_arg(args, "max-read-per-sweep", 64 << 10));
+      static_cast<std::size_t>(u64_arg(args, "max-read-per-sweep", 64 << 10));
   opts.read_deadline_ms = static_cast<int>(args.number("read-deadline-ms", 5000));
   opts.accept_backoff_ms = static_cast<int>(args.number("accept-backoff-ms", 100));
   opts.drain_timeout_ms = static_cast<int>(args.number("drain-timeout-ms", 2000));
   // v2 challenge nonces; the deterministic default serves reproducible test
   // harnesses, a production operator passes something unpredictable.
   if (args.has("nonce-seed")) {
-    opts.nonce_seed = count_arg(args, "nonce-seed", 0);
+    opts.nonce_seed = u64_arg(args, "nonce-seed", 0);
   }
-  opts.max_sessions = static_cast<std::size_t>(count_arg(args, "max-sessions", 1024));
+  opts.max_sessions = static_cast<std::size_t>(u64_arg(args, "max-sessions", 1024));
 
   net::AuthServer server(&svc, opts);
   const std::uint16_t port = server.bind_and_listen();

@@ -51,18 +51,18 @@ soak::SoakOptions soak_options_from_args(const Args& args) {
   // small enough that a short mode runs in seconds.
   if (!args.has("devices")) options.fleet.devices = 24;
   options.service = auth_options_from_args(args);
-  options.slots = static_cast<std::size_t>(count_arg(args, "slots", 32));
-  options.burst_requests = static_cast<std::size_t>(count_arg(args, "burst", 8));
+  options.slots = static_cast<std::size_t>(u64_arg(args, "slots", 32));
+  options.burst_requests = static_cast<std::size_t>(u64_arg(args, "burst", 8));
   options.attacker_probes_per_slot =
-      static_cast<std::size_t>(count_arg(args, "probes", 8));
+      static_cast<std::size_t>(u64_arg(args, "probes", 8));
   options.attacker_decoys =
-      static_cast<std::size_t>(count_arg(args, "attacker-decoys", 0));
-  options.checkpoints = static_cast<std::size_t>(count_arg(args, "checkpoints", 8));
+      static_cast<std::size_t>(u64_arg(args, "attacker-decoys", 0));
+  options.checkpoints = static_cast<std::size_t>(u64_arg(args, "checkpoints", 8));
   options.eval_challenges =
-      static_cast<std::size_t>(count_arg(args, "eval-challenges", 64));
+      static_cast<std::size_t>(u64_arg(args, "eval-challenges", 64));
   options.readout_noise_ps = args.number("noise", 0.5);
-  options.seed = static_cast<std::uint64_t>(args.number("soak-seed", 0x50a4));
-  options.protocol = static_cast<std::uint16_t>(count_arg(args, "protocol", 1));
+  options.seed = u64_arg(args, "soak-seed", 0x50a4);
+  options.protocol = static_cast<std::uint16_t>(u64_arg(args, "protocol", 1));
   // Sharded serving must preserve the whole defense contract, so the soak
   // takes the same --shards knob as ropuf_serve. The driver's closed loop
   // (next event waits for the previous answer) keeps the global arrival
@@ -70,7 +70,7 @@ soak::SoakOptions soak_options_from_args(const Args& args) {
   // slices by device hash — so the report must not change with the shard
   // count. Connections are dealt to shards round-robin, so their placement
   // is deterministic too.
-  options.server.shards = static_cast<std::size_t>(count_arg(args, "shards", 1));
+  options.server.shards = static_cast<std::size_t>(u64_arg(args, "shards", 1));
   ROPUF_REQUIRE(options.server.shards > 0, "--shards must be positive");
   options.service.admission_shards = options.server.shards;
   return options;
@@ -110,9 +110,9 @@ void print_report(const char* label, const soak::SoakReport& report) {
 }
 
 int run(const Args& args) {
-  const bool require_defense = args.get("require-defense", "off") == "on";
-  const bool require_detector = args.get("require-detector", "off") == "on";
-  const bool compare = require_defense || args.get("compare", "off") == "on";
+  const bool require_defense = switch_arg(args, "require-defense", false);
+  const bool require_detector = switch_arg(args, "require-detector", false);
+  const bool compare = switch_arg(args, "compare", false) || require_defense;
 
   const soak::SoakOptions defended = soak_options_from_args(args);
   std::printf("soak: %zu devices, %zu slots x (%zu probes + %zu legit), "
