@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/error.h"
 #include "common/hamming.h"
@@ -13,7 +14,12 @@ std::size_t BitVec::capacity_for(std::size_t bits) {
 }
 
 BitVec::BitVec(std::size_t n) : size_(n) {
-  if (!is_inline()) heap_ = new std::uint64_t[capacity_for(n)]();
+  if (is_inline()) return;
+  // Past SIZE_MAX - 63, words_for(n) wraps to 0 and a one-word block would
+  // back the vector: refuse before anything is allocated.
+  ROPUF_REQUIRE(n <= std::numeric_limits<std::size_t>::max() - (kWordBits - 1),
+                "BitVec of " + std::to_string(n) + " bits is past the largest size");
+  heap_ = new std::uint64_t[capacity_for(n)]();
 }
 
 BitVec::BitVec(const BitVec& other) : size_(other.size_) {

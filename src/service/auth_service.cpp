@@ -185,14 +185,6 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
     detector.device_capacity = share(detector.device_capacity, s);
     partitions_.push_back(std::make_unique<Partition>(admission, detector));
   }
-  ROPUF_REQUIRE(!options_.reenroll.enabled() ||
-                    (options_.reenroll.device_capacity > 0 &&
-                     options_.reenroll.queue_capacity > 0),
-                "re-enrollment needs nonzero device and queue capacities");
-  obs::Registry& obs = obs::Registry::instance();
-  reenroll_queued_ = &obs.counter("service.reenroll_queued");
-  reenroll_overflow_ = &obs.counter("service.reenroll_overflow");
-  reenroll_taken_ = &obs.counter("service.reenroll_taken");
 }
 
 std::size_t AuthService::admission_slice_index(std::uint64_t device_id) const {
@@ -397,8 +389,6 @@ std::vector<AuthVerdict> AuthService::verify_batch(
           .detector.observe(requests[i].device_id, observation);
     }
   }
-  // Re-enrollment tracking post-pass, same contract.
-  if (options_.reenroll.enabled()) track_reenrollment(requests, verdicts);
   return verdicts;
 }
 
@@ -435,81 +425,6 @@ std::vector<AuthVerdict> AuthService::verify_proof_batch(
                      [&](const registry::RegistrySnapshot& snapshot, std::size_t i) {
                        return verify_proof_pinned(snapshot, requests[i]);
                      });
-}
-
-void AuthService::track_reenrollment(const std::vector<AuthRequest>& requests,
-                                     const std::vector<AuthVerdict>& verdicts) const {
-  const std::lock_guard<std::mutex> lock(reenroll_.mutex);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const std::uint64_t id = requests[i].device_id;
-    const AuthStatus status = verdicts[i].status;
-    if (status == AuthStatus::kAccept) {
-      // A clean accept proves the enrollment still matches the silicon.
-      const auto it = reenroll_.streaks.find(id);
-      if (it != reenroll_.streaks.end()) {
-        reenroll_.lru.erase(it->second);
-        reenroll_.streaks.erase(it);
-      }
-      continue;
-    }
-    if (status != AuthStatus::kReject) continue;  // says nothing about drift
-    auto it = reenroll_.streaks.find(id);
-    if (it == reenroll_.streaks.end()) {
-      if (reenroll_.streaks.size() >= options_.reenroll.device_capacity) {
-        reenroll_.streaks.erase(reenroll_.lru.back().first);
-        reenroll_.lru.pop_back();
-      }
-      reenroll_.lru.emplace_front(id, 0);
-      it = reenroll_.streaks.emplace(id, reenroll_.lru.begin()).first;
-    } else {
-      reenroll_.lru.splice(reenroll_.lru.begin(), reenroll_.lru, it->second);
-    }
-    std::size_t& streak = it->second->second;
-    ++streak;
-    if (streak < options_.reenroll.fail_threshold) continue;
-    // Threshold crossed: queue once and restart the streak, so a device
-    // re-queues only after fail_threshold *new* consecutive rejects.
-    streak = 0;
-    if (reenroll_.queued.count(id) != 0) continue;
-    if (reenroll_.queue.size() >= options_.reenroll.queue_capacity) {
-      reenroll_overflow_->add(1);
-      continue;
-    }
-    reenroll_.queue.push_back(id);
-    reenroll_.queued.insert(id);
-    reenroll_queued_->add(1);
-  }
-}
-
-std::vector<std::uint64_t> AuthService::take_reenroll_queue() const {
-  const std::lock_guard<std::mutex> lock(reenroll_.mutex);
-  std::vector<std::uint64_t> taken = std::move(reenroll_.queue);
-  reenroll_.queue.clear();
-  reenroll_.queued.clear();
-  reenroll_taken_->add(taken.size());
-  return taken;
-}
-
-std::size_t AuthService::reenroll_backlog() const {
-  const std::lock_guard<std::mutex> lock(reenroll_.mutex);
-  return reenroll_.queue.size();
-}
-
-std::size_t apply_reenrollments(const AuthService& service,
-                                registry::EpochRegistry& epochs,
-                                const ReenrollOracle& oracle) {
-  static obs::Counter& applied =
-      obs::Registry::instance().counter("service.reenroll_applied");
-  registry::DeltaBuilder builder;
-  for (const std::uint64_t device_id : service.take_reenroll_queue()) {
-    std::optional<puf::ConfigurableEnrollment> fresh = oracle(device_id);
-    if (fresh.has_value()) builder.upsert(device_id, std::move(*fresh));
-  }
-  const std::size_t count = builder.entry_count();
-  if (count == 0) return 0;
-  epochs.append_delta(registry::DeltaSegment::from_bytes(builder.build()));
-  applied.add(count);
-  return count;
 }
 
 // ----------------------------------------------------------------- workload

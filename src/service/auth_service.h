@@ -41,6 +41,10 @@
 //    device-id-hash slices (each with its own logical clock), so a device's
 //    decisions depend only on its own slice's arrival stream — the property
 //    the multi-reactor server's shard-stickiness tests pin.
+//  * Optional stream detection (service/detector.h) is the one serial
+//    post-pass: it reads each batch's verdicts in arrival order and feeds
+//    back only admission penalties, so verify_batch is one pre-pass
+//    (admission), the parallel verify, and one post-pass (detector).
 #pragma once
 
 #include <cstdint>
@@ -50,9 +54,6 @@
 #include <optional>
 #include <unordered_map>
 #include <vector>
-
-#include <functional>
-#include <unordered_set>
 
 #include "auth/auth.h"
 #include "common/bitvec.h"
@@ -115,26 +116,6 @@ struct AuthVerdict {
   bool accepted() const { return status == AuthStatus::kAccept; }
 };
 
-/// Knobs of the re-enrollment feedback loop: devices whose verdicts degrade
-/// persistently (aging drift pushing distance past the accept threshold)
-/// are queued for re-enrollment, closing the lifecycle ROADMAP item 2 names.
-/// Tracking is a *serial post-pass* over each batch in arrival order, so the
-/// queue contents are deterministic for a given request stream at any thread
-/// budget — and verdicts are never altered by it.
-struct ReenrollOptions {
-  /// Consecutive kReject verdicts that queue a device; 0 disables the loop.
-  /// Only kAccept resets the streak: degradation verdicts (unknown, rate
-  /// limited, malformed) say nothing about the device's silicon.
-  std::size_t fail_threshold = 0;
-  /// Bound on tracked failure streaks (LRU-evicted, like admission states).
-  std::size_t device_capacity = 1024;
-  /// Bound on the pending queue; devices past it are dropped (and counted
-  /// under service.reenroll_overflow) until the queue is drained.
-  std::size_t queue_capacity = 256;
-
-  bool enabled() const { return fail_threshold > 0; }
-};
-
 struct AuthServiceOptions {
   /// Response bits drawn per challenge; clamped per device to its enrolled
   /// pair count (bits are drawn without replacement).
@@ -166,8 +147,6 @@ struct AuthServiceOptions {
   /// routed by the same device-id hash, so a device's suspicion state and
   /// its admission state always live together.
   DetectorOptions detector;
-  /// Re-enrollment queueing (off by default; see ReenrollOptions).
-  ReenrollOptions reenroll;
   ThreadBudget threads;
 };
 
@@ -326,10 +305,9 @@ class AuthService {
   AuthVerdict verify_proof(const ProofRequest& request) const;
 
   /// verify_proof over the parallel pool, one snapshot pin for the batch.
-  /// Proof verdicts are arrival-order-free (no admission, no re-enrollment
-  /// streaks), so the output is bit-identical at any thread budget and any
-  /// request order permutation — the shard/thread parity property the v2
-  /// digest tests pin.
+  /// Proof verdicts are arrival-order-free (no admission, no detector), so
+  /// the output is bit-identical at any thread budget and any request order
+  /// permutation — the shard/thread parity property the v2 digest tests pin.
   std::vector<AuthVerdict> verify_proof_batch(
       const std::vector<ProofRequest>& requests) const;
 
@@ -350,13 +328,6 @@ class AuthService {
 
   /// The device's current escalation-ladder level (0 = unsuspected).
   std::uint32_t suspicion_level(std::uint64_t device_id) const;
-
-  /// Drains the re-enrollment queue (arrival order, deduplicated). A
-  /// drained device re-queues only after fail_threshold *new* consecutive
-  /// rejects. Empty when the loop is disabled.
-  std::vector<std::uint64_t> take_reenroll_queue() const;
-  /// Devices currently queued (not yet taken).
-  std::size_t reenroll_backlog() const;
 
  private:
   /// Target of the legacy Registry* constructor's delegation: adopts the
@@ -386,10 +357,6 @@ class AuthService {
   /// The lookup-and-cache step behind verify_resolved.
   EnrollmentCache::Entry resolve_lookup(const registry::RegistrySnapshot& snapshot,
                                         std::uint64_t device_id) const;
-  /// Serial post-pass: walks a batch's verdicts in arrival order and feeds
-  /// the re-enrollment streak tracker. Never changes a verdict.
-  void track_reenrollment(const std::vector<AuthRequest>& requests,
-                          const std::vector<AuthVerdict>& verdicts) const;
 
   const registry::EpochRegistry* epochs_;
   /// Engaged by the legacy Registry* constructor; epochs_ points into it.
@@ -400,8 +367,7 @@ class AuthService {
   /// One admission slice's policy state. The admission pre-pass reads the
   /// detector's penalty before it decides; a serial post-pass feeds the
   /// detector the batch's (challenge, guess-weight, verdict-distance)
-  /// observations in arrival order. Like re-enrollment tracking, neither
-  /// ever alters a verdict.
+  /// observations in arrival order. Neither ever alters a verdict.
   struct Partition {
     Partition(const AdmissionOptions& admission_options,
               const DetectorOptions& detector_options)
@@ -415,38 +381,7 @@ class AuthService {
   Partition& partition_of(std::uint64_t device_id) const {
     return *partitions_[admission_slice_index(device_id)];
   }
-
-  /// Re-enrollment streak tracker + queue (serial post-pass state; the
-  /// mutex covers concurrent verify_batch callers, e.g. server shards).
-  struct ReenrollState {
-    std::mutex mutex;
-    std::list<std::pair<std::uint64_t, std::size_t>> lru;  ///< front = MRU
-    std::unordered_map<std::uint64_t,
-                       std::list<std::pair<std::uint64_t, std::size_t>>::iterator>
-        streaks;
-    std::vector<std::uint64_t> queue;          ///< arrival order
-    std::unordered_set<std::uint64_t> queued;  ///< dedup for queue
-  };
-  mutable ReenrollState reenroll_;
-  obs::Counter* reenroll_queued_ = nullptr;
-  obs::Counter* reenroll_overflow_ = nullptr;
-  obs::Counter* reenroll_taken_ = nullptr;
 };
-
-/// Produces a fresh enrollment for a device queued for re-enrollment —
-/// operationally, re-measuring the physical chip at its current operating
-/// point and re-running enrollment. nullopt when the device cannot be
-/// re-measured (not owned here, offline); it simply stays un-refreshed.
-using ReenrollOracle =
-    std::function<std::optional<puf::ConfigurableEnrollment>(std::uint64_t)>;
-
-/// Closes the re-enrollment loop: drains the service's queue through the
-/// oracle, packs the fresh enrollments into one delta segment and publishes
-/// it on `epochs` (one epoch bump). Returns the number of devices
-/// re-enrolled; 0 publishes nothing. Counted under service.reenroll_applied.
-std::size_t apply_reenrollments(const AuthService& service,
-                                registry::EpochRegistry& epochs,
-                                const ReenrollOracle& oracle);
 
 /// Deterministic request-mix generator for benches, tests and the CLI's
 /// auth-batch command: a fraction of forged, unknown-device and degraded

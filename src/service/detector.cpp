@@ -7,6 +7,24 @@
 namespace ropuf::service {
 namespace {
 
+/// Same-challenge asks tolerated inside the window before the repeat
+/// signature fires: a legitimate prover retries a challenge at most once
+/// or twice, while the oracle asks it bits+1 times.
+constexpr std::size_t kRepeatTolerance = 2;
+/// Non-accepted popcount<=1 guesses inside the window before the
+/// single-bit signature fires. A real b-bit response has expected weight
+/// b/2, and the rare genuine device whose reference sits near all-zeros
+/// gets *accepted* for its low-weight responses, so legit traffic never
+/// contributes, while oracle probes (rejected or denied) always do.
+constexpr std::size_t kLowWeightRun = 4;
+/// Same-challenge baseline/probe distance-step chain length before the
+/// staircase signature fires.
+constexpr std::size_t kStaircaseRun = 3;
+/// Score added per flagged signature, per observation.
+constexpr std::uint32_t kRepeatScore = 2;
+constexpr std::uint32_t kLowWeightScore = 1;
+constexpr std::uint32_t kStaircaseScore = 3;
+
 /// Escalation-level buckets: the ladder is short, so one bucket per level.
 const std::vector<double>& level_bounds() {
   static const std::vector<double> bounds = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -18,10 +36,6 @@ const std::vector<double>& level_bounds() {
 StreamDetector::StreamDetector(DetectorOptions options) : options_(options) {
   if (options_.enabled) {
     ROPUF_REQUIRE(options_.window > 0, "detector window must be positive");
-    ROPUF_REQUIRE(options_.repeat_tolerance > 0,
-                  "repeat_tolerance must be positive (1 = flag the first repeat)");
-    ROPUF_REQUIRE(options_.low_weight_run > 0, "low_weight_run must be positive");
-    ROPUF_REQUIRE(options_.staircase_run > 0, "staircase_run must be positive");
     ROPUF_REQUIRE(options_.escalate_threshold > 0,
                   "escalate_threshold must be positive");
     ROPUF_REQUIRE(options_.max_level > 0, "max_level must be positive");
@@ -94,14 +108,14 @@ void StreamDetector::observe(std::uint64_t device_id,
     if (entry.challenge == observation.challenge) ++same_challenge;
     if (entry.weight <= 1 && !entry.accepted) ++low_weight;
   }
-  const bool repeat_flag = same_challenge > options_.repeat_tolerance;
+  const bool repeat_flag = same_challenge > kRepeatTolerance;
 
   // Single-bit-guess signature: a run of non-accepted popcount<=1 claimed
   // responses. A genuine response carries ~b/2 set bits, and the rare
   // device whose reference really is near-zero gets *accepted* for its
   // low-weight responses — so these only come from oracle probing (or a
   // broken prover, which the decay path forgives).
-  const bool low_weight_flag = low_weight >= options_.low_weight_run;
+  const bool low_weight_flag = low_weight >= kLowWeightRun;
 
   // Distance-staircase signature: answered weight-1 probes stepping exactly
   // +/-1 off the answered weight-0 baseline of the *same* challenge — the
@@ -120,21 +134,21 @@ void StreamDetector::observe(std::uint64_t device_id,
                (observation.distance + 1 == state.baseline_distance ||
                 observation.distance == state.baseline_distance + 1)) {
       ++state.staircase_length;
-      staircase_flag = state.staircase_length >= options_.staircase_run;
+      staircase_flag = state.staircase_length >= kStaircaseRun;
     }
   }
 
   std::uint32_t delta = 0;
   if (repeat_flag) {
-    delta += options_.repeat_score;
+    delta += kRepeatScore;
     repeat_flags_->add(1);
   }
   if (low_weight_flag) {
-    delta += options_.low_weight_score;
+    delta += kLowWeightScore;
     low_weight_flags_->add(1);
   }
   if (staircase_flag) {
-    delta += options_.staircase_score;
+    delta += kStaircaseScore;
     staircase_flags_->add(1);
   }
 

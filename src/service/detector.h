@@ -52,29 +52,13 @@ namespace ropuf::service {
 
 /// Detector knobs. Defaults are tuned for the soak contract: the plain and
 /// evasive harvesters escalate within their first challenge while the
-/// legit prover mix never flags at all.
+/// legit prover mix never flags at all. The three signatures' thresholds
+/// and scores are constants in detector.cpp, tuned with the same contract.
 struct DetectorOptions {
   /// Master switch; everything below is inert when false.
   bool enabled = false;
   /// Sliding observation window per device (newest `window` observations).
   std::size_t window = 32;
-  /// Same-challenge asks tolerated inside the window before the repeat
-  /// signature fires (a legitimate prover retries a challenge at most once
-  /// or twice; the oracle asks it bits+1 times).
-  std::size_t repeat_tolerance = 2;
-  /// Non-accepted popcount<=1 guesses inside the window before the
-  /// single-bit signature fires. A real b-bit response has expected weight
-  /// b/2, and the rare genuine device whose reference sits near all-zeros
-  /// gets *accepted* for its low-weight responses — so legit traffic never
-  /// contributes, while oracle probes (rejected or denied) always do.
-  std::size_t low_weight_run = 4;
-  /// Same-challenge baseline/probe distance-step chain length before the
-  /// staircase signature fires.
-  std::size_t staircase_run = 3;
-  /// Score added per flagged signature, per observation.
-  std::uint32_t repeat_score = 2;
-  std::uint32_t low_weight_score = 1;
-  std::uint32_t staircase_score = 3;
   /// Accumulated score that bumps the escalation ladder one level.
   std::uint32_t escalate_threshold = 8;
   /// Ladder ceiling (penalties saturate here).

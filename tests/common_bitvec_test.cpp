@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -27,6 +28,17 @@ TEST(BitVec, SizedConstructorZeroInitializes) {
   EXPECT_EQ(v.size(), 130u);
   EXPECT_EQ(v.popcount(), 0u);
   for (std::size_t i = 0; i < v.size(); ++i) EXPECT_FALSE(v.get(i));
+}
+
+TEST(BitVec, SizesPastTheLastWholeWordAreRefusedBeforeAllocating) {
+  // Past SIZE_MAX - 63 the word count (n + 63) / 64 wraps to 0. The guard
+  // throws ropuf::Error before the allocator is asked for anything (which
+  // would throw std::bad_alloc instead), so no one-word block ever backs
+  // such a vector.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t n : {kMax - 62, kMax - 2, kMax}) {
+    EXPECT_THROW(BitVec{n}, Error) << n;
+  }
 }
 
 TEST(BitVec, SetAndGetRoundTrip) {

@@ -312,7 +312,7 @@ TEST(RegistrySnapshot, ReAddAfterTombstoneWins) {
   Registry base = base_registry(2);  // ids 10, 20
   std::vector<DeltaSegment> deltas;
   deltas.push_back(delta_retiring(20));
-  deltas.push_back(delta_upserting(20, 3333));  // newer delta re-enrolls it
+  deltas.push_back(delta_upserting(20, 3333));  // newer delta upserts it again
   const RegistrySnapshot snapshot(3, std::move(base), std::move(deltas));
 
   EXPECT_TRUE(snapshot.contains(20));

@@ -61,9 +61,6 @@ TEST(DetectorOptions, ValidatedOnlyWhenEnabled) {
 
   for (auto mutate : std::vector<void (*)(DetectorOptions&)>{
            [](DetectorOptions& o) { o.window = 0; },
-           [](DetectorOptions& o) { o.repeat_tolerance = 0; },
-           [](DetectorOptions& o) { o.low_weight_run = 0; },
-           [](DetectorOptions& o) { o.staircase_run = 0; },
            [](DetectorOptions& o) { o.escalate_threshold = 0; },
            [](DetectorOptions& o) { o.max_level = 0; },
            [](DetectorOptions& o) { o.decay_window = 0; },
@@ -102,7 +99,7 @@ TEST(StreamDetector, DisabledDetectorIsANoOp) {
 
 TEST(StreamDetector, RepeatRunsEscalateToTheLadderCap) {
   StreamDetector detector{enabled_options()};
-  // Defaults: tolerance 2, repeat_score 2, threshold 8 — the flag fires
+  // Repeat tolerance 2 and score 2, threshold 8: the flag fires
   // from the 3rd same-challenge ask and every level costs 4 flagged asks.
   for (std::size_t i = 0; i < 5; ++i) {
     detector.observe(1, legit_observation(42));
@@ -147,7 +144,7 @@ TEST(StreamDetector, NonAcceptedLowWeightRunsEscalate) {
   StreamDetector detector{enabled_options()};
   Rng rng(0xf00d);
   // Distinct challenges (no repeat flag), weight-1 rejected guesses: the
-  // window count reaches low_weight_run=4 on the 4th, then +1 per ask —
+  // window count reaches the low-weight run of 4 on the 4th, then +1 per ask —
   // threshold 8 crossed on the 11th.
   for (std::size_t i = 0; i < 10; ++i) {
     detector.observe(1, probe_observation(rng.next_u64(), 1, 5));

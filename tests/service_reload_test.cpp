@@ -14,16 +14,12 @@
 //  (c) a batch pins ONE snapshot: a swap racing a long verify_batch may
 //      land before or after the pin, but never splits the batch;
 //  (d) caches cannot answer across a swap (service.cache_stale /
-//      service.unknown_cache_stale pin the eviction), and
-//  (e) the re-enrollment loop closes: a device whose silicon drifted away
-//      from its aged enrollment streaks into the queue, gets re-measured
-//      through the oracle, and authenticates again once its delta lands.
+//      service.unknown_cache_stale pin the eviction).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +43,7 @@ using namespace ropuf;
 using test::small_registry;
 
 /// A synthetic enrollment with the fleet's layout — stands in for a
-/// re-measured or newly enrolled device without minting silicon.
+/// refreshed or newly enrolled device without minting silicon.
 puf::ConfigurableEnrollment fresh_enrollment(std::uint64_t seed) {
   Rng rng(seed);
   const puf::BoardLayout layout{5, 16};
@@ -340,128 +336,6 @@ TEST(EpochSwapCache, StaleEntriesNeverAnswerAfterTheSwap) {
   EXPECT_EQ(
       svc.verify(request_for(current, refreshed, 3, options.response_bits)).status,
       service::AuthStatus::kAccept);
-  obs::set_metrics_enabled(false);
-}
-
-// ----------------------------------------------------------- re-enrollment
-
-TEST(Reenrollment, DriftedDeviceStreaksIntoTheQueueAndRecoversViaDelta) {
-  // The closed loop: device 0's silicon drifted (modeled as a different
-  // enrollment than the aged registry record), so its genuine responses
-  // now reject. After fail_threshold consecutive rejects it lands in the
-  // queue; apply_reenrollments re-measures it through the oracle and
-  // publishes the refreshed record as a delta — after which the same
-  // prover authenticates again.
-  obs::set_metrics_enabled(true);
-  obs::Registry& metrics = obs::Registry::instance();
-  obs::Counter& applied = metrics.counter("service.reenroll_applied");
-  const std::uint64_t applied_before = applied.value();
-
-  const registry::Registry base = small_registry();
-  registry::EpochRegistry epochs(base);
-  service::AuthServiceOptions options;
-  options.reenroll.fail_threshold = 3;
-  const service::AuthService svc(&epochs, options);
-
-  const std::uint64_t drifted = base.device_id_at(0);
-  const puf::ConfigurableEnrollment current_silicon = fresh_enrollment(0xd12f7ed);
-
-  // Two rejects: below threshold, nothing queued.
-  for (std::uint64_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(svc.verify_batch({request_for(current_silicon, drifted, c,
-                                            options.response_bits)})[0]
-                  .status,
-              service::AuthStatus::kReject);
-  }
-  EXPECT_EQ(svc.reenroll_backlog(), 0u);
-
-  // An accept resets the streak (the device momentarily measured close to
-  // its aged record — here, the aged record's own reference).
-  EXPECT_EQ(svc.verify_batch({request_for(base.lookup(drifted), drifted, 77,
-                                          options.response_bits)})[0]
-                .status,
-            service::AuthStatus::kAccept);
-  for (std::uint64_t c = 10; c < 12; ++c) {
-    svc.verify_batch({request_for(current_silicon, drifted, c, options.response_bits)});
-  }
-  EXPECT_EQ(svc.reenroll_backlog(), 0u) << "accept must reset the streak";
-
-  // Three consecutive rejects cross the threshold.
-  for (std::uint64_t c = 20; c < 23; ++c) {
-    svc.verify_batch({request_for(current_silicon, drifted, c, options.response_bits)});
-  }
-  ASSERT_EQ(svc.reenroll_backlog(), 1u);
-
-  // The oracle "re-measures the chip": it returns the device's current
-  // silicon as a fresh enrollment. One delta lands, one epoch bump.
-  std::size_t oracle_calls = 0;
-  const std::size_t refreshed = service::apply_reenrollments(
-      svc, epochs,
-      [&](std::uint64_t device_id) -> std::optional<puf::ConfigurableEnrollment> {
-        ++oracle_calls;
-        EXPECT_EQ(device_id, drifted);
-        return current_silicon;
-      });
-  EXPECT_EQ(refreshed, 1u);
-  EXPECT_EQ(oracle_calls, 1u);
-  EXPECT_EQ(svc.reenroll_backlog(), 0u);
-  EXPECT_EQ(svc.epoch(), 2u);
-  EXPECT_EQ(applied.value(), applied_before + 1);
-
-  // The loop is closed: the same prover that was rejected now accepts.
-  EXPECT_EQ(svc.verify_batch({request_for(current_silicon, drifted, 99,
-                                          options.response_bits)})[0]
-                .status,
-            service::AuthStatus::kAccept);
-
-  // And the streak was consumed: it takes fail_threshold *new* rejects to
-  // requeue (e.g. if the fresh record were also stale) — one reject alone
-  // does not.
-  svc.verify_batch({request_for(fresh_enrollment(0x0172), drifted, 123,
-                                options.response_bits)});
-  EXPECT_EQ(svc.reenroll_backlog(), 0u);
-  obs::set_metrics_enabled(false);
-}
-
-TEST(Reenrollment, QueueIsBoundedDedupedAndOracleFailuresAreSkipped) {
-  obs::set_metrics_enabled(true);
-  obs::Registry& metrics = obs::Registry::instance();
-  obs::Counter& overflow = metrics.counter("service.reenroll_overflow");
-  const std::uint64_t overflow_before = overflow.value();
-
-  const registry::Registry base = small_registry();
-  registry::EpochRegistry epochs(base);
-  service::AuthServiceOptions options;
-  options.reenroll.fail_threshold = 2;
-  options.reenroll.queue_capacity = 1;
-  const service::AuthService svc(&epochs, options);
-
-  const puf::ConfigurableEnrollment wrong = fresh_enrollment(0xbad);
-  const std::uint64_t first = base.device_id_at(0);
-  const std::uint64_t second = base.device_id_at(1);
-  for (std::uint64_t c = 0; c < 4; ++c) {
-    // Interleaved rejects for both devices; each crosses the threshold,
-    // but the queue holds one.
-    svc.verify_batch({request_for(wrong, first, c, options.response_bits),
-                      request_for(wrong, second, c, options.response_bits)});
-  }
-  EXPECT_EQ(svc.reenroll_backlog(), 1u);
-  EXPECT_GE(overflow.value(), overflow_before + 1);
-
-  // A device the oracle cannot re-measure publishes nothing.
-  const std::size_t refreshed = service::apply_reenrollments(
-      svc, epochs, [](std::uint64_t) { return std::nullopt; });
-  EXPECT_EQ(refreshed, 0u);
-  EXPECT_EQ(svc.epoch(), 1u) << "no delta may be published for zero refreshes";
-  EXPECT_EQ(svc.reenroll_backlog(), 0u);
-
-  // take_reenroll_queue drains in arrival order for callers that manage
-  // their own oracle batching.
-  for (std::uint64_t c = 10; c < 12; ++c) {
-    svc.verify_batch({request_for(wrong, first, c, options.response_bits)});
-  }
-  EXPECT_EQ(svc.take_reenroll_queue(), std::vector<std::uint64_t>{first});
-  EXPECT_EQ(svc.reenroll_backlog(), 0u);
   obs::set_metrics_enabled(false);
 }
 

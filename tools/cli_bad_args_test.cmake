@@ -18,11 +18,19 @@ function(expect_rejected diagnostic)
   endif()
 endfunction()
 
-expect_rejected("trailing junk in value '8abc' for --boards"
+# Real-valued flags: the whole token must parse as a number.
+expect_rejected("trailing junk in value '0.5abc' for --flip-rate"
+                ${CLI} auth-batch --devices 4 --flip-rate 0.5abc)
+expect_rejected("non-numeric value 'nope' for --bias"
+                ${CLI} nist --bias nope)
+
+# Integer flags: digits only, so junk, fractions and words are refused.
+set(u64_diagnostic "must be a decimal integer")
+expect_rejected("--boards ${u64_diagnostic} .* got '8abc'"
                 ${CLI} fleet-stats --boards 8abc)
-expect_rejected("trailing junk in value '1.2abc' for --pairs"
+expect_rejected("--pairs ${u64_diagnostic} .* got '1.2abc'"
                 ${CLI} enroll --seed 42 --pairs 1.2abc)
-expect_rejected("non-numeric value 'nope' for --streams"
+expect_rejected("--streams ${u64_diagnostic} .* got 'nope'"
                 ${CLI} nist --streams nope)
 
 # 64-bit seeds parse exactly: 2^53 and 2^53 + 1 are two fleets, and the
@@ -41,7 +49,6 @@ if(fleet_9007199254740992 STREQUAL fleet_9007199254740993)
 endif()
 
 # Past the u64 range, signed, or not an integer: rejected, naming the flag.
-set(u64_diagnostic "must be a decimal integer")
 expect_rejected("--seed ${u64_diagnostic}"
                 ${CLI} registry-build --devices 4 --seed 18446744073709551616
                 --out ${WORKDIR}/cli_bad_args_2p64.ropufreg)
@@ -57,6 +64,26 @@ expect_rejected("--nonce-seed ${u64_diagnostic}"
                 ${SERVE} --devices 4 --nonce-seed 18446744073709551616)
 expect_rejected("--soak-seed ${u64_diagnostic}"
                 ${SOAK} --devices 4 --soak-seed 18446744073709551616)
+
+# Integer flags parse exactly: a negative --bits must not wrap into a
+# near-2^64 response size, a negative --cache into an unbounded cache, or a
+# negative --max-hd into an accept-everything threshold.
+expect_rejected("--bits ${u64_diagnostic}"
+                ${CLI} auth-batch --devices 4 --bits -3 --requests 16
+                --unknown-rate 1 --forge-rate 0)
+expect_rejected("--cache ${u64_diagnostic}"
+                ${CLI} auth-batch --devices 4 --cache -1 --requests 16)
+expect_rejected("--max-hd ${u64_diagnostic}"
+                ${CLI} auth-batch --devices 4 --max-hd -1 --requests 16)
+# An exact 2^64 - 3 reaches BitVec, which must refuse a size whose word
+# count wraps rather than back it with one word.
+expect_rejected("BitVec of 18446744073709551613 bits"
+                ${CLI} auth-batch --devices 4 --bits 18446744073709551613 --requests 16
+                --unknown-rate 1 --forge-rate 0)
+
+# Timeouts are ints: a value past 2^31 - 1 is refused, not wrapped.
+expect_rejected("--read-deadline-ms must be at most 2147483647"
+                ${SERVE} --devices 4 --read-deadline-ms 2147483648)
 
 # Ports stop at 65535 (0 stays the ephemeral port).
 expect_rejected("--port must be in" ${SERVE} --devices 4 --port 70000)

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <map>
 #include <string>
 #include <system_error>
@@ -86,6 +87,17 @@ inline std::uint64_t u64_arg(const Args& args, const std::string& key,
   return args.has(key) ? parse_u64(args.get(key, ""), "--" + key) : fallback;
 }
 
+/// u64_arg for a value kept in an int (timeouts, trial counts): a value
+/// past INT_MAX fails the flag parse instead of wrapping negative.
+inline int int_arg(const Args& args, const std::string& key, int fallback) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const std::uint64_t value = u64_arg(args, key, static_cast<std::uint64_t>(fallback));
+  ROPUF_REQUIRE(value <= static_cast<std::uint64_t>(kMax),
+                "--" + key + " must be at most " + std::to_string(kMax) + ", got " +
+                    std::to_string(value));
+  return static_cast<int>(value);
+}
+
 /// --port: 0 (a kernel-assigned ephemeral port) through 65535.
 inline std::uint16_t port_arg(const Args& args) {
   const std::uint64_t port = u64_arg(args, "port", 0);
@@ -159,10 +171,10 @@ class ObsSession {
 /// same registry bytes regardless of --threads.
 inline registry::FleetSpec fleet_spec_from_args(const Args& args) {
   registry::FleetSpec spec;
-  spec.devices = static_cast<std::size_t>(args.number("devices", 256));
+  spec.devices = static_cast<std::size_t>(u64_arg(args, "devices", 256));
   ROPUF_REQUIRE(spec.devices >= 1, "--devices must be >= 1");
-  spec.stages = static_cast<std::size_t>(args.number("stages", 5));
-  spec.pairs = static_cast<std::size_t>(args.number("pairs", 16));
+  spec.stages = static_cast<std::size_t>(u64_arg(args, "stages", 5));
+  spec.pairs = static_cast<std::size_t>(u64_arg(args, "pairs", 16));
   const std::string mode_name = args.get("mode", "case2");
   ROPUF_REQUIRE(mode_name == "case1" || mode_name == "case2", "mode must be case1|case2");
   spec.mode = mode_name == "case1" ? puf::SelectionCase::kSameConfig
@@ -197,11 +209,11 @@ inline bool switch_arg(const Args& args, const std::string& key, bool fallback) 
 /// detector only bites when admission knobs are configured too).
 inline service::AuthServiceOptions auth_options_from_args(const Args& args) {
   service::AuthServiceOptions opts;
-  opts.response_bits = static_cast<std::size_t>(args.number("bits", 16));
-  opts.max_distance = static_cast<std::size_t>(args.number("max-hd", 2));
-  opts.cache_capacity = static_cast<std::size_t>(args.number("cache", 4096));
+  opts.response_bits = static_cast<std::size_t>(u64_arg(args, "bits", 16));
+  opts.max_distance = static_cast<std::size_t>(u64_arg(args, "max-hd", 2));
+  opts.cache_capacity = static_cast<std::size_t>(u64_arg(args, "cache", 4096));
   opts.unknown_cache_capacity =
-      static_cast<std::size_t>(args.number("unknown-cache", 256));
+      static_cast<std::size_t>(u64_arg(args, "unknown-cache", 256));
   opts.admission.rate_burst = u64_arg(args, "rate-burst", 0);
   opts.admission.rate_interval = u64_arg(args, "rate-interval", 0);
   opts.admission.crp_budget = u64_arg(args, "crp-budget", 0);
@@ -220,8 +232,6 @@ inline service::AuthServiceOptions auth_options_from_args(const Args& args) {
   opts.detector.decay_window = u64_arg(args, "detector-decay", 64);
   opts.detector.device_capacity =
       static_cast<std::size_t>(u64_arg(args, "detector-devices", 4096));
-  opts.reenroll.fail_threshold =
-      static_cast<std::size_t>(u64_arg(args, "reenroll-threshold", 0));
   return opts;
 }
 

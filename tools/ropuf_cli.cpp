@@ -83,7 +83,7 @@ void print_fault_report(const sil::FaultInjector& injector) {
 }
 
 int cmd_fleet_stats(const Args& args) {
-  const std::size_t boards = static_cast<std::size_t>(args.number("boards", 20));
+  const std::size_t boards = static_cast<std::size_t>(u64_arg(args, "boards", 20));
   sil::VtFleetSpec spec;
   spec.nominal_boards = boards;
   spec.env_boards = 0;
@@ -101,8 +101,8 @@ int cmd_fleet_stats(const Args& args) {
 
 int cmd_enroll(const Args& args) {
   const std::uint64_t seed = u64_arg(args, "seed", 1);
-  const std::size_t stages = static_cast<std::size_t>(args.number("stages", 7));
-  const std::size_t pairs = static_cast<std::size_t>(args.number("pairs", 32));
+  const std::size_t stages = static_cast<std::size_t>(u64_arg(args, "stages", 7));
+  const std::size_t pairs = static_cast<std::size_t>(u64_arg(args, "pairs", 32));
   const std::string mode_name = args.get("mode", "case2");
   ROPUF_REQUIRE(mode_name == "case1" || mode_name == "case2", "mode must be case1|case2");
   const puf::SelectionCase mode = mode_name == "case1" ? puf::SelectionCase::kSameConfig
@@ -169,7 +169,7 @@ int cmd_fault_sweep(const Args& args) {
   // check the key reproduces — hardened pipeline vs. the naive one.
   const std::uint64_t seed = u64_arg(args, "seed", 1);
   const std::uint64_t fault_seed = u64_arg(args, "fault-seed", 0xfa017);
-  const int trials = static_cast<int>(args.number("trials", 5));
+  const int trials = int_arg(args, "trials", 5);
   ROPUF_REQUIRE(trials >= 1, "trials must be >= 1");
   const double max_rate = args.number("max-rate", 0.02);
   ROPUF_REQUIRE(max_rate >= 0.0 && max_rate < 1.0, "max-rate must be in [0, 1)");
@@ -234,8 +234,8 @@ int cmd_fault_sweep(const Args& args) {
 }
 
 int cmd_nist(const Args& args) {
-  const std::size_t streams = static_cast<std::size_t>(args.number("streams", 97));
-  const std::size_t bits = static_cast<std::size_t>(args.number("bits", 96));
+  const std::size_t streams = static_cast<std::size_t>(u64_arg(args, "streams", 97));
+  const std::size_t bits = static_cast<std::size_t>(u64_arg(args, "bits", 96));
   const double bias = args.number("bias", 0.5);
   ROPUF_REQUIRE(bias > 0.0 && bias < 1.0, "bias must be in (0, 1)");
 
@@ -310,7 +310,7 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_export_dataset(const Args& args) {
-  const std::size_t boards = static_cast<std::size_t>(args.number("boards", 20));
+  const std::size_t boards = static_cast<std::size_t>(u64_arg(args, "boards", 20));
   sil::VtFleetSpec spec;
   spec.nominal_boards = boards;
   spec.env_boards = 0;
@@ -341,7 +341,7 @@ int cmd_dataset_stats(const Args& args) {
 
   analysis::DatasetOptions opts;
   opts.distill = args.get("distill", "on") != "off";
-  opts.stages = static_cast<std::size_t>(args.number("stages", 5));
+  opts.stages = static_cast<std::size_t>(u64_arg(args, "stages", 5));
   const auto responses = analysis::table_responses(table, opts);
   std::printf("boards: %zu   bits/board: %zu   distiller: %s\n", responses.size(),
               responses[0].size(), opts.distill ? "on" : "off");
@@ -400,8 +400,8 @@ int cmd_registry_append(const Args& args) {
   registry::DeltaBuilder builder;
   if (args.has("devices")) {
     // Minted with the same knobs as registry-build, the records are
-    // bit-identical to the base generation's — the "refresh" idiom: a
-    // re-enrolled fleet slice whose verdicts cannot drift. A different
+    // bit-identical to the base generation's — the "refresh" idiom: an
+    // upserted fleet slice whose verdicts cannot drift. A different
     // --seed mints genuinely new devices.
     for (registry::DeviceRecord& record : registry::mint_fleet(fleet_spec_from_args(args))) {
       builder.upsert(record.device_id, std::move(record.enrollment));
@@ -505,7 +505,7 @@ int cmd_registry_stats(const Args& args) {
 /// synthesize the identical request stream and compare verdict digests.
 service::WorkloadSpec workload_from_args(const Args& args) {
   service::WorkloadSpec workload;
-  workload.requests = static_cast<std::size_t>(args.number("requests", 1024));
+  workload.requests = static_cast<std::size_t>(u64_arg(args, "requests", 1024));
   workload.flip_rate = args.number("flip-rate", 0.01);
   workload.forge_rate = args.number("forge-rate", 0.05);
   workload.unknown_rate = args.number("unknown-rate", 0.02);
@@ -570,6 +570,29 @@ int cmd_auth_batch(const Args& args) {
   return 0;
 }
 
+/// The answer tally both auth-client protocols print: transport
+/// degradations (kBadFrame/kOverloaded) are split from real verdicts, while
+/// admission denials (rate-limited/budget-exhausted) ARE verdicts and tally
+/// like any other status. The digest is only comparable to offline
+/// auth-batch when the whole stream was verified.
+void print_client_answers(const std::vector<net::WireResponse>& responses) {
+  std::vector<service::AuthVerdict> verdicts;
+  verdicts.reserve(responses.size());
+  std::size_t degraded = 0;
+  for (const net::WireResponse& response : responses) {
+    if (net::wire_status_is_transport(response.status)) {
+      ++degraded;
+      continue;
+    }
+    verdicts.push_back(net::auth_verdict(response));
+  }
+  if (degraded > 0) {
+    std::printf("  degraded answers  %zu (bad-frame/overloaded; digest omits them)\n",
+                degraded);
+  }
+  print_verdict_stats(verdicts);
+}
+
 int cmd_auth_client(const Args& args) {
   ROPUF_REQUIRE(args.has("port"), "--port is required");
   const registry::Registry reg = registry_from_args(args);
@@ -580,7 +603,7 @@ int cmd_auth_client(const Args& args) {
   net::ClientOptions client_opts;
   client_opts.host = args.get("host", "127.0.0.1");
   client_opts.port = port_arg(args);
-  client_opts.window = static_cast<std::size_t>(args.number("window", 128));
+  client_opts.window = static_cast<std::size_t>(u64_arg(args, "window", 128));
   net::AuthClient client(client_opts);
   client.connect();
 
@@ -596,52 +619,19 @@ int cmd_auth_client(const Args& args) {
     const auto intents =
         service::synthesize_proof_workload(reg, workload_from_args(args));
     const std::vector<net::WireResponse> responses = client.send_proof_batch(intents);
-    std::vector<service::AuthVerdict> verdicts;
-    verdicts.reserve(responses.size());
-    std::size_t degraded = 0;
-    for (const net::WireResponse& response : responses) {
-      if (net::wire_status_is_transport(response.status)) {
-        ++degraded;
-        continue;
-      }
-      verdicts.push_back(net::auth_verdict(response));
-    }
     std::printf("auth client: %zu proof requests to %s:%u (protocol v2)\n",
                 intents.size(), client_opts.host.c_str(), client_opts.port);
-    if (degraded > 0) {
-      std::printf("  degraded answers  %zu (bad-frame/overloaded; digest omits them)\n",
-                  degraded);
-    }
-    print_verdict_stats(verdicts);
+    print_client_answers(responses);
     return 0;
   }
 
   const auto requests =
       service::synthesize_workload(reg, opts, workload_from_args(args));
   const std::vector<net::WireResponse> responses = client.send_batch(requests);
-
-  // Split transport degradations (kBadFrame/kOverloaded) from real
-  // verdicts; admission denials (rate-limited/budget-exhausted) ARE
-  // verdicts and tally like any other status. The digest is only
-  // comparable to offline auth-batch when the whole stream was verified.
-  std::vector<service::AuthVerdict> verdicts;
-  verdicts.reserve(responses.size());
-  std::size_t degraded = 0;
-  for (const net::WireResponse& response : responses) {
-    if (net::wire_status_is_transport(response.status)) {
-      ++degraded;
-      continue;
-    }
-    verdicts.push_back(net::auth_verdict(response));
-  }
   std::printf("auth client: %zu requests to %s:%u (bits=%zu max-hd=%zu)\n",
               requests.size(), client_opts.host.c_str(), client_opts.port,
               opts.response_bits, opts.max_distance);
-  if (degraded > 0) {
-    std::printf("  degraded answers  %zu (bad-frame/overloaded; digest omits them)\n",
-                degraded);
-  }
-  print_verdict_stats(verdicts);
+  print_client_answers(responses);
   return 0;
 }
 

@@ -12,7 +12,7 @@
 //               [--bits B] [--max-hd D] [--cache C] [--unknown-cache C]
 //               [--rate-burst N --rate-interval T] [--crp-budget N]
 //               [--reuse-budget N] [--challenge-sketch N]
-//               [--admission-devices N] [--reenroll-threshold N]
+//               [--admission-devices N]
 //               [--detector on|off] [--detector-window N]
 //               [--detector-threshold N] [--detector-max-level N]
 //               [--detector-decay N] [--detector-devices N]
@@ -100,9 +100,9 @@ int serve(const Args& args) {
   opts.max_batch = static_cast<std::size_t>(u64_arg(args, "max-batch", 256));
   opts.max_read_per_sweep =
       static_cast<std::size_t>(u64_arg(args, "max-read-per-sweep", 64 << 10));
-  opts.read_deadline_ms = static_cast<int>(args.number("read-deadline-ms", 5000));
-  opts.accept_backoff_ms = static_cast<int>(args.number("accept-backoff-ms", 100));
-  opts.drain_timeout_ms = static_cast<int>(args.number("drain-timeout-ms", 2000));
+  opts.read_deadline_ms = int_arg(args, "read-deadline-ms", 5000);
+  opts.accept_backoff_ms = int_arg(args, "accept-backoff-ms", 100);
+  opts.drain_timeout_ms = int_arg(args, "drain-timeout-ms", 2000);
   // v2 challenge nonces; the deterministic default serves reproducible test
   // harnesses, a production operator passes something unpredictable.
   if (args.has("nonce-seed")) {
@@ -186,7 +186,6 @@ int usage() {
                "                   [--detector on|off] [--detector-window N]\n"
                "                   [--detector-threshold N] [--detector-max-level N]\n"
                "                   [--detector-decay N] [--detector-devices N]\n"
-               "                   [--reenroll-threshold N]\n"
                "                   [--shards N]\n"
                "                   [--max-connections N] [--max-pending N]\n"
                "                   [--max-batch N] [--max-read-per-sweep N]\n"
