@@ -149,8 +149,8 @@ void run() {
   std::printf("shape check (clean stream never escalates): %s\n",
               worst_clean == 0 ? "HOLDS" : "VIOLATED");
   std::printf("shape check (attack stream hits the ladder cap): %s\n",
-              attack_detector.level(7) == detector_options().max_level ? "HOLDS"
-                                                                       : "VIOLATED");
+              attack_detector.level(7) == service::StreamDetector::kMaxLevel ? "HOLDS"
+                                                                             : "VIOLATED");
 
   // Verdict parity: detection alone (no admission) must change nothing.
   const service::AuthService plain(&fleet_registry(), service_options(false));

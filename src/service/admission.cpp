@@ -8,6 +8,9 @@
 namespace ropuf::service {
 namespace {
 
+/// Seen-challenge ring entries per device: what tells a repeat from fresh.
+constexpr std::size_t kChallengeSketch = 64;
+
 /// Per-device deny-count buckets: powers of two up to "clearly abusive".
 const std::vector<double>& deny_bounds() {
   static const std::vector<double> bounds = {1,   2,   4,   8,    16,   32,
@@ -51,8 +54,6 @@ AdmissionController::AdmissionController(AdmissionOptions options)
   ROPUF_REQUIRE((options_.rate_burst > 0) == (options_.rate_interval > 0),
                 "rate_burst and rate_interval enable rate limiting together "
                 "(both zero or both positive)");
-  ROPUF_REQUIRE(options_.challenge_sketch > 0,
-                "challenge_sketch must be positive");
   ROPUF_REQUIRE(!options_.enabled() || options_.device_capacity > 0,
                 "device_capacity must be positive when admission is enabled");
   obs::Registry& registry = obs::Registry::instance();
@@ -78,7 +79,7 @@ bool AdmissionController::sketch_contains(const DeviceState& state,
 }
 
 void AdmissionController::sketch_insert(DeviceState& state, std::uint64_t challenge) {
-  if (state.sketch.size() < options_.challenge_sketch) {
+  if (state.sketch.size() < kChallengeSketch) {
     state.sketch.push_back(challenge);
     return;
   }
@@ -86,7 +87,7 @@ void AdmissionController::sketch_insert(DeviceState& state, std::uint64_t challe
   // challenge re-presented later counts as fresh again (charging the
   // distinct budget once more — the safe direction).
   state.sketch[state.sketch_next] = challenge;
-  state.sketch_next = (state.sketch_next + 1) % state.sketch.size();
+  state.sketch_next = (state.sketch_next + 1) % kChallengeSketch;
 }
 
 void AdmissionController::record_denies(DeviceState& state) {

@@ -18,8 +18,8 @@
 //    flood the clock races ahead, so legitimate devices refill *faster*
 //    relative to the abuser.
 //
-//  * CRP-reuse/exhaustion budgets. A bounded per-device sketch of
-//    recently seen challenges splits traffic into *fresh* challenges
+//  * CRP-reuse/exhaustion budgets. A bounded per-device sketch of the 64
+//    most recently seen challenges splits traffic into *fresh* challenges
 //    (consume the `crp_budget` of distinct challenges the device may ever
 //    be asked — the modeling surface) and *repeats* (consume the much
 //    smaller `reuse_budget` — repeats are how the distance oracle is
@@ -56,9 +56,8 @@ struct AdmissionOptions {
   std::uint64_t crp_budget = 0;
   /// Max repeated-challenge queries per device; 0 disables the reuse check.
   std::uint64_t reuse_budget = 0;
-  /// Per-device seen-challenge sketch entries (repeat detection window).
-  std::size_t challenge_sketch = 64;
-  /// Bound on tracked per-device states (LRU eviction past it).
+  /// Bound on tracked per-device states (LRU eviction past it); the service
+  /// bounds each slice's stream detector by the same share.
   std::size_t device_capacity = 4096;
 
   /// True when any check is configured; an all-off controller admits

@@ -163,27 +163,21 @@ AuthService::AuthService(const registry::EpochRegistry* epochs,
   ROPUF_REQUIRE(epochs_ != nullptr, "null epoch registry");
   ROPUF_REQUIRE(options_.response_bits > 0, "response_bits must be positive");
   ROPUF_REQUIRE(options_.admission_shards > 0, "admission_shards must be positive");
-  ROPUF_REQUIRE(!options_.admission.enabled() ||
+  ROPUF_REQUIRE(!(options_.admission.enabled() || options_.detector.enabled) ||
                     options_.admission.device_capacity >= options_.admission_shards,
-                "admission device_capacity must cover every admission shard");
-  ROPUF_REQUIRE(!options_.detector.enabled ||
-                    options_.detector.device_capacity >= options_.admission_shards,
-                "detector device_capacity must cover every admission shard");
+                "device_capacity must cover every admission shard");
   // Device states split across slices the way the enrollment cache splits
   // its capacity: base share per slice, remainder spread over the first
-  // slices, so the per-slice bounds sum to exactly each device_capacity.
-  // Disabled controllers and detectors are inert but keep the accessors safe.
+  // slices, so the per-slice bounds sum to exactly device_capacity. A
+  // slice's detector takes its admission share: both hold one state per
+  // device of the slice. Disabled ones are inert but keep accessors safe.
   const std::size_t slices = options_.admission_shards;
-  const auto share = [slices](std::size_t total, std::size_t s) {
-    return total / slices + (s < total % slices ? 1 : 0);
-  };
+  const std::size_t total = options_.admission.device_capacity;
   partitions_.reserve(slices);
   for (std::size_t s = 0; s < slices; ++s) {
     AdmissionOptions admission = options_.admission;
-    admission.device_capacity = share(admission.device_capacity, s);
-    DetectorOptions detector = options_.detector;
-    detector.device_capacity = share(detector.device_capacity, s);
-    partitions_.push_back(std::make_unique<Partition>(admission, detector));
+    admission.device_capacity = total / slices + (s < total % slices ? 1 : 0);
+    partitions_.push_back(std::make_unique<Partition>(admission, options_.detector));
   }
 }
 

@@ -144,8 +144,8 @@ struct AuthServiceOptions {
   std::size_t admission_shards = 1;
   /// Online model-building detection (off by default; see detector.h).
   /// Slices alongside admission: one StreamDetector per admission slice,
-  /// routed by the same device-id hash, so a device's suspicion state and
-  /// its admission state always live together.
+  /// routed by the same device-id hash and bounded by the same capacity
+  /// share, so a device's suspicion and admission state live together.
   DetectorOptions detector;
   ThreadBudget threads;
 };
@@ -371,7 +371,8 @@ class AuthService {
   struct Partition {
     Partition(const AdmissionOptions& admission_options,
               const DetectorOptions& detector_options)
-        : admission(admission_options), detector(detector_options) {}
+        : admission(admission_options),
+          detector(detector_options, admission_options.device_capacity) {}
     AdmissionController admission;
     StreamDetector detector;
   };

@@ -7,6 +7,12 @@
 namespace ropuf::service {
 namespace {
 
+/// Observations per device the signatures count over (the newest ones).
+constexpr std::size_t kWindow = 32;
+/// Accumulated score that bumps the escalation ladder one level.
+constexpr std::uint32_t kEscalateThreshold = 8;
+/// Clean observations per decay step (halve the score; at 0, step down).
+constexpr std::uint64_t kDecayWindow = 64;
 /// Same-challenge asks tolerated inside the window before the repeat
 /// signature fires: a legitimate prover retries a challenge at most once
 /// or twice, while the oracle asks it bits+1 times.
@@ -33,15 +39,10 @@ const std::vector<double>& level_bounds() {
 
 }  // namespace
 
-StreamDetector::StreamDetector(DetectorOptions options) : options_(options) {
-  if (options_.enabled) {
-    ROPUF_REQUIRE(options_.window > 0, "detector window must be positive");
-    ROPUF_REQUIRE(options_.escalate_threshold > 0,
-                  "escalate_threshold must be positive");
-    ROPUF_REQUIRE(options_.max_level > 0, "max_level must be positive");
-    ROPUF_REQUIRE(options_.decay_window > 0, "decay_window must be positive");
-    ROPUF_REQUIRE(options_.device_capacity > 0, "device_capacity must be positive");
-  }
+StreamDetector::StreamDetector(DetectorOptions options, std::size_t device_capacity)
+    : options_(options), device_capacity_(device_capacity) {
+  ROPUF_REQUIRE(!options_.enabled || device_capacity_ > 0,
+                "device_capacity must be positive when the detector is enabled");
   obs::Registry& registry = obs::Registry::instance();
   observations_ = &registry.counter("service.detector.observations");
   repeat_flags_ = &registry.counter("service.detector.repeat_flags");
@@ -68,7 +69,7 @@ StreamDetector::DeviceState& StreamDetector::state_for(std::uint64_t device_id) 
     lru_.splice(lru_.begin(), lru_, it->second);
     return *it->second;
   }
-  if (lru_.size() >= options_.device_capacity) {
+  if (lru_.size() >= device_capacity_) {
     // Evicting forgets the victim's suspicion — the standard bounded-sketch
     // trade-off, and why device_capacity defaults fleet-sized.
     index_.erase(lru_.back().device_id);
@@ -92,11 +93,11 @@ void StreamDetector::observe(std::uint64_t device_id,
   // Slide the window first, so every signature sees the newest observation.
   const WindowEntry newest{observation.challenge, observation.guess_weight,
                            observation.accepted};
-  if (state.window.size() < options_.window) {
+  if (state.window.size() < kWindow) {
     state.window.push_back(newest);
   } else {
     state.window[state.window_next] = newest;
-    state.window_next = (state.window_next + 1) % state.window.size();
+    state.window_next = (state.window_next + 1) % kWindow;
   }
 
   // Repeat-probe signature: the same challenge asked more than a plausible
@@ -153,11 +154,11 @@ void StreamDetector::observe(std::uint64_t device_id,
   }
 
   if (delta == 0) {
-    // Clean observation: decay. Every decay_window clean observations halve
+    // Clean observation: decay. Every kDecayWindow clean observations halve
     // the score; once it reaches zero the ladder steps back down, so a
     // false positive costs a bounded slowdown, never a permanent ban.
     ++state.clean_streak;
-    if (state.clean_streak >= options_.decay_window) {
+    if (state.clean_streak >= kDecayWindow) {
       state.clean_streak = 0;
       if (state.score > 0) {
         state.score /= 2;
@@ -171,9 +172,9 @@ void StreamDetector::observe(std::uint64_t device_id,
 
   state.clean_streak = 0;
   state.score += delta;
-  if (state.score >= options_.escalate_threshold) {
+  if (state.score >= kEscalateThreshold) {
     state.score = 0;
-    if (state.level < options_.max_level) {
+    if (state.level < kMaxLevel) {
       ++state.level;
       escalations_->add(1);
       escalated_level_->record(static_cast<double>(state.level));

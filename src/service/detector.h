@@ -50,25 +50,13 @@
 
 namespace ropuf::service {
 
-/// Detector knobs. Defaults are tuned for the soak contract: the plain and
+/// The detector's one knob. Its window, ladder and signature thresholds are
+/// constants in detector.cpp, tuned for the soak contract: the plain and
 /// evasive harvesters escalate within their first challenge while the
-/// legit prover mix never flags at all. The three signatures' thresholds
-/// and scores are constants in detector.cpp, tuned with the same contract.
+/// legit prover mix never flags at all.
 struct DetectorOptions {
-  /// Master switch; everything below is inert when false.
+  /// Master switch; the detector is inert when false.
   bool enabled = false;
-  /// Sliding observation window per device (newest `window` observations).
-  std::size_t window = 32;
-  /// Accumulated score that bumps the escalation ladder one level.
-  std::uint32_t escalate_threshold = 8;
-  /// Ladder ceiling (penalties saturate here).
-  std::uint32_t max_level = 4;
-  /// Clean (unflagged) observations per decay step: each step halves the
-  /// score, and a zero score steps the level back down.
-  std::uint64_t decay_window = 64;
-  /// Bound on tracked per-device states (LRU eviction past it, same sketch
-  /// trade-off as admission: an id-spray must not grow server memory).
-  std::size_t device_capacity = 4096;
 };
 
 /// One observation of a device's request stream, in arrival order: what was
@@ -96,7 +84,12 @@ struct StreamObservation {
 /// AdmissionController — determinism is a property of the call order.
 class StreamDetector {
  public:
-  explicit StreamDetector(DetectorOptions options);
+  /// Ladder ceiling: penalties saturate at this level.
+  static constexpr std::uint32_t kMaxLevel = 4;
+
+  /// Tracks at most `device_capacity` devices (LRU eviction past it, as in
+  /// admission); it must be positive when the detector is enabled.
+  explicit StreamDetector(DetectorOptions options, std::size_t device_capacity = 4096);
 
   /// Classifies one observation and advances the device's score/ladder.
   /// No-op when the detector is disabled.
@@ -115,8 +108,6 @@ class StreamDetector {
   /// Devices currently tracked (bounded by device_capacity).
   std::size_t tracked_devices() const;
 
-  const DetectorOptions& options() const { return options_; }
-
  private:
   struct WindowEntry {
     std::uint64_t challenge = 0;
@@ -125,7 +116,7 @@ class StreamDetector {
   };
   struct DeviceState {
     std::uint64_t device_id = 0;
-    /// Ring of the newest `window` observations.
+    /// Ring of the newest observations (the window).
     std::vector<WindowEntry> window;
     std::size_t window_next = 0;
     /// Staircase tracking: the newest answered weight-0 baseline and how
@@ -143,6 +134,7 @@ class StreamDetector {
   DeviceState& state_for(std::uint64_t device_id);
 
   DetectorOptions options_;
+  std::size_t device_capacity_;
   mutable std::mutex mutex_;
   std::list<DeviceState> lru_;  ///< front = most recently observed
   std::unordered_map<std::uint64_t, std::list<DeviceState>::iterator> index_;

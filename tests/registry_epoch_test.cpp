@@ -614,6 +614,34 @@ TEST_F(EpochFilesTest, FailedWriteLeavesTheTargetAndNoTempFile) {
   EXPECT_EQ(listing(dir_), before);
 }
 
+TEST_F(EpochFilesTest, AKilledWritersTempFileIsNeverLoaded) {
+  // write_file_atomic stages its bytes in ".ropuf-write-<pid>-<n>" beside
+  // the target, and a writer killed before its rename leaves that file
+  // behind, complete. Discovery must skip it, so a reload serves the
+  // generation the directory names, not the write that never landed.
+  DeltaBuilder landed;
+  landed.upsert(95, sample_enrollment(95));
+  landed.write_file(delta_path(1));
+  const auto generation = [this] {
+    EpochFileSet files = load_epoch_files(base_path_);
+    const RegistrySnapshot snapshot(std::move(files.base), std::move(files.deltas));
+    return std::make_pair(snapshot.epoch(), snapshot.device_count());
+  };
+  const auto before = generation();
+
+  DeltaBuilder killed;
+  killed.retire(10);
+  killed.upsert(96, sample_enrollment(96));
+  const std::string temp =
+      (dir_ / (".ropuf-write-" + std::to_string(::getpid()) + "-7")).string();
+  std::ofstream(temp, std::ios::binary) << killed.build();
+  ASSERT_EQ(DeltaSegment::load_file(temp).entry_count(), 2u);  // a valid delta
+
+  EXPECT_EQ(discover_delta_paths(base_path_), std::vector<std::string>{delta_path(1)});
+  EXPECT_EQ(generation(), before);
+  EXPECT_EQ(before, std::make_pair(std::uint64_t{2}, std::size_t{4}));
+}
+
 TEST_F(EpochFilesTest, MissingBaseOrCorruptDeltaFailsTheWholeLoad) {
   EXPECT_THROW(load_epoch_files((dir_ / "absent.ropufreg").string()),
                ropuf::Error);

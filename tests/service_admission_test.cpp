@@ -54,10 +54,6 @@ TEST(AdmissionController, RejectsInconsistentOptions) {
   other_half.rate_interval = 4;
   EXPECT_THROW(AdmissionController{other_half}, Error);
 
-  AdmissionOptions no_sketch;
-  no_sketch.challenge_sketch = 0;
-  EXPECT_THROW(AdmissionController{no_sketch}, Error);
-
   AdmissionOptions no_capacity = rate_only(4, 2);
   no_capacity.device_capacity = 0;
   EXPECT_THROW(AdmissionController{no_capacity}, Error);
@@ -142,21 +138,20 @@ TEST(AdmissionController, CrpBudgetCapsDistinctChallenges) {
 }
 
 TEST(AdmissionController, SketchEvictionReclassifiesOldChallengesAsFresh) {
-  // Sketch of 2: challenge 10 is forgotten once 11 and 12 land, so its
-  // re-presentation charges the distinct budget again — the safe direction
-  // (the attacker pays more, never less).
+  // The sketch holds 64 challenges: challenge 10 is forgotten once 64 more
+  // land, so its re-presentation charges the distinct budget again — the
+  // safe direction (the attacker pays more, never less).
   AdmissionOptions options;
-  options.crp_budget = 3;
-  options.challenge_sketch = 2;
+  options.crp_budget = 65;
   AdmissionController controller{options};
 
-  EXPECT_EQ(controller.admit(1, 10), Admission::kAdmit);
-  EXPECT_EQ(controller.admit(1, 11), Admission::kAdmit);
-  EXPECT_EQ(controller.admit(1, 12), Admission::kAdmit);  // evicts 10
+  for (std::uint64_t challenge = 10; challenge < 75; ++challenge) {
+    EXPECT_EQ(controller.admit(1, challenge), Admission::kAdmit);  // 74 evicts 10
+  }
   EXPECT_EQ(controller.admit(1, 10), Admission::kBudgetExhausted);
-  // 11 and 12 are still in the sketch: repeats, hence admitted.
+  // 11 and 74 are still in the sketch: repeats, hence admitted.
   EXPECT_EQ(controller.admit(1, 11), Admission::kAdmit);
-  EXPECT_EQ(controller.admit(1, 12), Admission::kAdmit);
+  EXPECT_EQ(controller.admit(1, 74), Admission::kAdmit);
 }
 
 TEST(AdmissionController, LruEvictionBoundsTrackedDevicesAndForgetsBudgets) {
@@ -180,14 +175,15 @@ TEST(AdmissionController, LruEvictionBoundsTrackedDevicesAndForgetsBudgets) {
 
 TEST(AdmissionController, SameArrivalOrderReplaysTheSameDecisions) {
   AdmissionOptions options = rate_only(3, 2);
-  options.crp_budget = 8;
+  options.crp_budget = 80;
   options.reuse_budget = 2;
-  options.challenge_sketch = 4;
 
-  // A deliberately adversarial interleaving across 3 devices with repeats.
+  // A deliberately adversarial interleaving across 3 devices, with repeats
+  // both inside the 64-entry sketch and past it (106 distinct challenges
+  // per device).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sequence;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    sequence.emplace_back(i % 3, (i * 7) % 11);
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    sequence.emplace_back(i % 3, (i * i) % 211);
   }
 
   AdmissionController a{options};

@@ -3,10 +3,11 @@
 // distance staircases) including the accepted-low-weight exemption that
 // keeps genuinely skewed devices clean, the escalation/decay ladder and its
 // admission penalties, LRU capacity eviction, replay determinism, evasive
-// (decoy-interleaved) harvester streams, and the AuthService integration
-// contract — the detector only changes *which* requests admit, never a
-// verdict, so the admitted subsequence keeps digest parity with an
-// admission-free batch at any thread budget.
+// (decoy-interleaved) harvester streams, the device bound the detector
+// shares with admission, and the AuthService integration contract — the
+// detector only changes *which* requests admit, never a verdict, so the
+// admitted subsequence keeps digest parity with an admission-free batch at
+// any thread budget.
 #include "service/detector.h"
 
 #include <gtest/gtest.h>
@@ -55,21 +56,9 @@ StreamObservation probe_observation(std::uint64_t challenge, std::size_t weight,
 }
 
 TEST(DetectorOptions, ValidatedOnlyWhenEnabled) {
-  DetectorOptions broken;
-  broken.window = 0;
-  EXPECT_NO_THROW(StreamDetector{broken});  // disabled: knobs are inert
-
-  for (auto mutate : std::vector<void (*)(DetectorOptions&)>{
-           [](DetectorOptions& o) { o.window = 0; },
-           [](DetectorOptions& o) { o.escalate_threshold = 0; },
-           [](DetectorOptions& o) { o.max_level = 0; },
-           [](DetectorOptions& o) { o.decay_window = 0; },
-           [](DetectorOptions& o) { o.device_capacity = 0; },
-       }) {
-    DetectorOptions options = enabled_options();
-    mutate(options);
-    EXPECT_THROW(StreamDetector{options}, Error);
-  }
+  // A disabled detector tracks no state, so a zero capacity is inert.
+  EXPECT_NO_THROW((StreamDetector{DetectorOptions{}, 0}));
+  EXPECT_THROW((StreamDetector{enabled_options(), 0}), Error);
 }
 
 TEST(StreamDetector, PenaltyLadderDoublesIntervalAndHalvesReuse) {
@@ -111,7 +100,7 @@ TEST(StreamDetector, RepeatRunsEscalateToTheLadderCap) {
   for (std::size_t i = 0; i < 100; ++i) {
     detector.observe(1, legit_observation(42));
   }
-  EXPECT_EQ(detector.level(1), detector.options().max_level);  // capped
+  EXPECT_EQ(detector.level(1), StreamDetector::kMaxLevel);  // capped
   EXPECT_EQ(detector.penalty(1).interval_factor, 16u);
   EXPECT_EQ(detector.penalty(1).reuse_shift, 4u);
 }
@@ -176,29 +165,28 @@ TEST(StreamDetector, StaircaseSurvivesInterleavedDecoys) {
 }
 
 TEST(StreamDetector, CleanTrafficDecaysScoreThenStepsTheLadderDown) {
-  DetectorOptions options = enabled_options();
-  options.decay_window = 8;
-  StreamDetector detector{options};
+  StreamDetector detector{enabled_options()};
 
   for (std::size_t i = 0; i < 6; ++i) {
     detector.observe(1, legit_observation(42));  // repeat run
   }
   ASSERT_EQ(detector.level(1), 1u);
 
-  // Escalation reset the score to zero, so the first full clean window
-  // already steps the level back down; suspicion is a slowdown, not a ban.
+  // Escalation reset the score to zero, so the first full clean decay
+  // window (64 observations) already steps the level back down; suspicion
+  // is a slowdown, not a ban.
   Rng rng(0xc1ea);
-  for (std::size_t i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 63; ++i) {
     detector.observe(1, legit_observation(rng.next_u64()));
   }
+  EXPECT_EQ(detector.level(1), 1u);
+  detector.observe(1, legit_observation(rng.next_u64()));
   EXPECT_EQ(detector.level(1), 0u);
   EXPECT_TRUE(detector.penalty(1).neutral());
 }
 
 TEST(StreamDetector, LruEvictionBoundsTrackedDevicesAndForgetsSuspicion) {
-  DetectorOptions options = enabled_options();
-  options.device_capacity = 2;
-  StreamDetector detector{options};
+  StreamDetector detector{enabled_options(), 2};
 
   for (std::size_t i = 0; i < 20; ++i) {
     detector.observe(1, legit_observation(42));
@@ -212,9 +200,7 @@ TEST(StreamDetector, LruEvictionBoundsTrackedDevicesAndForgetsSuspicion) {
 }
 
 TEST(StreamDetector, LevelReadsDoNotKeepADeviceResident) {
-  DetectorOptions options = enabled_options();
-  options.device_capacity = 2;
-  StreamDetector detector{options};
+  StreamDetector detector{enabled_options(), 2};
   detector.observe(1, legit_observation(1));
   for (std::size_t i = 0; i < 6; ++i) {
     detector.observe(2, legit_observation(42));  // repeat run: level 1
@@ -284,7 +270,7 @@ TEST(StreamDetector, EvasiveHarvesterStreamStillEscalates) {
     detector.observe(probe.device_id, observation);
     harvester.answered(distance);
   }
-  EXPECT_EQ(detector.level(7), detector.options().max_level);
+  EXPECT_EQ(detector.level(7), StreamDetector::kMaxLevel);
 }
 
 // --------------------------------------------- AuthService integration
@@ -305,12 +291,38 @@ AuthRequest oracle_probe(const registry::Registry& registry, std::size_t device_
 }
 
 TEST(AuthServiceDetector, RejectsDetectorCapacityBelowShardCount) {
+  // The detector shares admission's device_capacity, so the bound must
+  // cover every slice even while admission itself is off.
   const auto registry = detector_registry();
   AuthServiceOptions options;
   options.detector.enabled = true;
-  options.detector.device_capacity = 3;
+  options.admission.device_capacity = 3;
   options.admission_shards = 4;
   EXPECT_THROW(AuthService(&registry, options), Error);
+  options.admission_shards = 3;
+  EXPECT_NO_THROW(AuthService(&registry, options));
+}
+
+TEST(AuthServiceDetector, DetectorSharesTheAdmissionDeviceBound) {
+  // One device_capacity bounds both per-device tables of a slice: with room
+  // for two devices, traffic from two others evicts a suspicious device's
+  // detector state just as it would evict its admission state.
+  const auto registry = detector_registry();
+  AuthServiceOptions options;
+  options.response_bits = 8;
+  options.admission.device_capacity = 2;
+  options.detector.enabled = true;
+  const AuthService service(&registry, options);
+
+  std::vector<AuthRequest> probes;
+  for (std::size_t bit = 0; bit < 8; ++bit) {
+    probes.push_back(oracle_probe(registry, 0, 8, 5, bit));
+  }
+  service.verify_batch(probes);
+  ASSERT_GT(service.suspicion_level(registry.device_id_at(0)), 0u);
+
+  service.verify_batch({genuine(registry, options, 1, 1), genuine(registry, options, 2, 2)});
+  EXPECT_EQ(service.suspicion_level(registry.device_id_at(0)), 0u);
 }
 
 TEST(AuthServiceDetector, EscalatesTheProbingDeviceAndThrottlesIt) {
@@ -342,7 +354,7 @@ TEST(AuthServiceDetector, EscalatesTheProbingDeviceAndThrottlesIt) {
     verdicts.insert(verdicts.end(), batch.begin(), batch.end());
   }
   EXPECT_EQ(service.suspicion_level(registry.device_id_at(0)),
-            defended.detector.max_level);
+            StreamDetector::kMaxLevel);
   EXPECT_EQ(service.suspicion_level(registry.device_id_at(1)), 0u);
 
   std::size_t attacker_denied = 0;

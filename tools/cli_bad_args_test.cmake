@@ -1,7 +1,8 @@
 # Regression test for option parsing: a value the tools cannot represent
 # exactly must be rejected loudly, never silently truncated ("1.2abc" ->
 # 1.2), rounded (a 64-bit seed through a double), wrapped (-1 or 2^64 into
-# a u64, 70000 into a port) or ignored (an on|off switch given "yes").
+# a u64, 70000 into a port, 65538 into a protocol) or ignored (an on|off
+# switch given "yes", or a flag no command reads).
 
 # A command that must exit with a nonzero status (not a timeout or a
 # signal) and print `diagnostic` on stderr. Every case runs under a timeout,
@@ -93,3 +94,30 @@ expect_rejected("--port must be in" ${CLI} auth-client --devices 4 --port 70000)
 foreach(switch compare require-defense require-detector)
   expect_rejected("--${switch} must be on" ${SOAK} --devices 4 --${switch} yes)
 endforeach()
+
+# --threads parses like every other integer flag: no exponent, no fraction.
+expect_rejected("--threads ${u64_diagnostic} .* got '1e3'"
+                ${CLI} fleet-stats --boards 4 --threads 1e3)
+expect_rejected("--threads ${u64_diagnostic} .* got '2.0'"
+                ${CLI} fleet-stats --boards 4 --threads 2.0)
+
+# --protocol is checked before any narrowing: 65538 is not 2.
+expect_rejected("--protocol must be 1 or 2, got 65538"
+                ${SOAK} --devices 4 --protocol 65538)
+
+# A flag no command reads is an error, not a silent default: a typo in each
+# tool, and a flag that no longer exists. The server must refuse before it
+# binds, and registry-build before it writes its output.
+expect_rejected("unknown option --max-hdd"
+                ${CLI} auth-batch --devices 4 --requests 16 --max-hdd 5)
+expect_rejected("unknown option --detector-window"
+                ${CLI} auth-batch --devices 4 --requests 16 --detector-window 32)
+set(misspelled ${WORKDIR}/cli_bad_args_sead.ropufreg)
+file(REMOVE ${misspelled})
+expect_rejected("unknown option --sead"
+                ${CLI} registry-build --devices 4 --sead 5 --out ${misspelled})
+if(EXISTS ${misspelled})
+  message(FATAL_ERROR "registry-build wrote ${misspelled} despite an unknown option")
+endif()
+expect_rejected("unknown option --bogus" ${SERVE} --devices 4 --bogus 1)
+expect_rejected("unknown option --rate-brust" ${SOAK} --devices 4 --rate-brust 16)

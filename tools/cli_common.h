@@ -6,12 +6,12 @@
 #pragma once
 
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -26,7 +26,10 @@
 
 namespace ropuf::cli {
 
-/// Minimal --key value argument map.
+/// Minimal --key value argument map. It remembers every key that has(),
+/// get() or number() looked up (so lookups are not thread-safe), and a tool
+/// rejects the flags it never read — a typo, or a flag that no longer
+/// exists — instead of running with the defaults they were meant to set.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -38,14 +41,19 @@ class Args {
     }
   }
 
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) > 0;
+  }
 
   std::string get(const std::string& key, const std::string& fallback) const {
+    read_.insert(key);
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
   double number(const std::string& key, double fallback) const {
+    read_.insert(key);
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     // Require the whole token to parse: "1.2abc" must be rejected, not
@@ -62,8 +70,17 @@ class Args {
     return value;
   }
 
+  /// Fails on the first given flag that nothing looked up. A tool calls
+  /// this once it has read all of its options, before it does its work.
+  void reject_unread() const {
+    for (const auto& [key, value] : values_) {
+      ROPUF_REQUIRE(read_.count(key) > 0, "unknown option --" + key);
+    }
+  }
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// Strict decimal u64: the whole token, digits only (no sign, blank or
@@ -105,15 +122,22 @@ inline std::uint16_t port_arg(const Args& args) {
   return static_cast<std::uint16_t>(port);
 }
 
+/// --protocol: 1 (the CRP wire) or 2 (challenge-response), checked on the
+/// parsed u64 so no larger value can wrap into either.
+inline std::uint16_t protocol_arg(const Args& args) {
+  const std::uint64_t protocol = u64_arg(args, "protocol", 1);
+  ROPUF_REQUIRE(protocol == 1 || protocol == 2,
+                "--protocol must be 1 or 2, got " + std::to_string(protocol));
+  return static_cast<std::uint16_t>(protocol);
+}
+
 /// Shared --threads handling: a positive integer sets the process-wide
 /// thread budget (overriding ROPUF_THREADS); outputs are bit-identical for
-/// every value. Parsed with the same strict numeric policy as every other
-/// option.
+/// every value. Parsed exactly, like every other integer option.
 inline void apply_thread_budget(const Args& args) {
   if (!args.has("threads")) return;
-  const double threads = args.number("threads", 0.0);
-  ROPUF_REQUIRE(threads >= 1.0 && threads == std::floor(threads),
-                "--threads must be a positive integer");
+  const std::uint64_t threads = u64_arg(args, "threads", 0);
+  ROPUF_REQUIRE(threads >= 1, "--threads must be a positive integer");
   set_thread_budget_override(static_cast<std::size_t>(threads));
 }
 
@@ -203,10 +227,10 @@ inline bool switch_arg(const Args& args, const std::string& key, bool fallback) 
 
 /// Shared --bits/--max-hd/--cache handling for the verification commands,
 /// plus the admission knobs (--rate-burst/--rate-interval/--crp-budget/
-/// --reuse-budget, all default 0 = off; see service/admission.h) and the
-/// stream-detector knobs (--detector on|off and --detector-* tuning; see
-/// service/detector.h — suspicion escalates the admission penalties, so the
-/// detector only bites when admission knobs are configured too).
+/// --reuse-budget, all default 0 = off, and --admission-devices; see
+/// service/admission.h) and the stream-detector switch (--detector on|off;
+/// see service/detector.h — suspicion escalates the admission penalties, so
+/// the detector only bites when admission knobs are configured too).
 inline service::AuthServiceOptions auth_options_from_args(const Args& args) {
   service::AuthServiceOptions opts;
   opts.response_bits = static_cast<std::size_t>(u64_arg(args, "bits", 16));
@@ -218,20 +242,9 @@ inline service::AuthServiceOptions auth_options_from_args(const Args& args) {
   opts.admission.rate_interval = u64_arg(args, "rate-interval", 0);
   opts.admission.crp_budget = u64_arg(args, "crp-budget", 0);
   opts.admission.reuse_budget = u64_arg(args, "reuse-budget", 0);
-  opts.admission.challenge_sketch =
-      static_cast<std::size_t>(u64_arg(args, "challenge-sketch", 64));
   opts.admission.device_capacity =
       static_cast<std::size_t>(u64_arg(args, "admission-devices", 4096));
   opts.detector.enabled = switch_arg(args, "detector", false);
-  opts.detector.window =
-      static_cast<std::size_t>(u64_arg(args, "detector-window", 32));
-  opts.detector.escalate_threshold =
-      static_cast<std::uint32_t>(u64_arg(args, "detector-threshold", 8));
-  opts.detector.max_level =
-      static_cast<std::uint32_t>(u64_arg(args, "detector-max-level", 4));
-  opts.detector.decay_window = u64_arg(args, "detector-decay", 64);
-  opts.detector.device_capacity =
-      static_cast<std::size_t>(u64_arg(args, "detector-devices", 4096));
   return opts;
 }
 

@@ -14,6 +14,10 @@
 // The registry/service commands (registry-build, registry-stats, auth-batch)
 // operate on the binary enrollment registry of src/registry/ and the batched
 // CRP authentication engine of src/service/; see docs/registry.md.
+//
+// Each command rejects any flag it did not read ("unknown option --max-hdd")
+// before it prints a result or writes a file, so a typo or a flag that no
+// longer exists never runs as a default.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -88,6 +92,7 @@ int cmd_fleet_stats(const Args& args) {
   spec.nominal_boards = boards;
   spec.env_boards = 0;
   spec.seed = u64_arg(args, "seed", 0x20140601);
+  args.reject_unread();
   const sil::VtFleet fleet = sil::make_vt_fleet(spec);
 
   analysis::DatasetOptions opts;
@@ -122,6 +127,7 @@ int cmd_enroll(const Args& args) {
   const auto enrollment = puf::configurable_enroll(values, layout, mode);
 
   const std::string out = args.get("out", "enrollment.ropuf");
+  args.reject_unread();
   std::ofstream file(out);
   ROPUF_REQUIRE(file.good(), "cannot open output file " + out);
   file << puf::serialize_enrollment(enrollment);
@@ -147,6 +153,7 @@ int cmd_respond(const Args& args) {
   analysis::DatasetOptions opts;
   opts.distill = true;
   auto injector = fault_injector_from_args(args);
+  args.reject_unread();
   if (injector.has_value()) {
     opts.injector = &*injector;
     opts.hardened = true;
@@ -173,6 +180,7 @@ int cmd_fault_sweep(const Args& args) {
   ROPUF_REQUIRE(trials >= 1, "trials must be >= 1");
   const double max_rate = args.number("max-rate", 0.02);
   ROPUF_REQUIRE(max_rate >= 0.0 && max_rate < 1.0, "max-rate must be in [0, 1)");
+  args.reject_unread();
 
   const crypto::CyclicCode code = crypto::CyclicCode::bch_15_7();
   const crypto::FuzzyExtractor extractor(&code);
@@ -240,6 +248,7 @@ int cmd_nist(const Args& args) {
   ROPUF_REQUIRE(bias > 0.0 && bias < 1.0, "bias must be in (0, 1)");
 
   Rng rng(u64_arg(args, "seed", 7));
+  args.reject_unread();
   nist::FinalAnalysisReport report;
   const nist::SuiteConfig config =
       bits <= 256 ? nist::paper_config() : nist::SuiteConfig{};
@@ -263,6 +272,7 @@ int cmd_stats(const Args& args) {
   obs::set_metrics_enabled(true);
   obs::Registry::instance().reset();
   const std::uint64_t seed = u64_arg(args, "seed", 42);
+  args.reject_unread();
 
   // 1) Full-circuit device: hardened enroll + respond under a mild fault
   //    campaign (exercises robust_measure, dark-bit masking, the counter).
@@ -321,6 +331,7 @@ int cmd_export_dataset(const Args& args) {
       sil::snapshot_fleet(fleet.nominal, sil::nominal_op(), args.number("noise", 0.5), rng);
 
   const std::string out = args.get("out", "dataset.csv");
+  args.reject_unread();
   std::ofstream file(out);
   ROPUF_REQUIRE(file.good(), "cannot open output file " + out);
   file << sil::to_csv(table);
@@ -342,6 +353,7 @@ int cmd_dataset_stats(const Args& args) {
   analysis::DatasetOptions opts;
   opts.distill = args.get("distill", "on") != "off";
   opts.stages = static_cast<std::size_t>(u64_arg(args, "stages", 5));
+  args.reject_unread();
   const auto responses = analysis::table_responses(table, opts);
   std::printf("boards: %zu   bits/board: %zu   distiller: %s\n", responses.size(),
               responses[0].size(), opts.distill ? "on" : "off");
@@ -366,6 +378,7 @@ int cmd_registry_build(const Args& args) {
     registry::RegistryBuilder builder;
     std::uint64_t id = u64_arg(args, "base-id", 1);
     std::stringstream list(args.get("enrollments", ""));
+    args.reject_unread();
     std::string path;
     while (std::getline(list, path, ',')) {
       ROPUF_REQUIRE(!path.empty(), "empty path in --enrollments list");
@@ -383,6 +396,7 @@ int cmd_registry_build(const Args& args) {
   }
   // Minting path: fabricate and enroll a synthetic fleet on the pool.
   const registry::FleetSpec spec = fleet_spec_from_args(args);
+  args.reject_unread();
   const std::string bytes = registry::build_fleet_registry(spec);
   registry::write_file_atomic(out, bytes);
   std::printf("minted %zu devices -> %s (%zu bytes)\n", spec.devices, out.c_str(),
@@ -415,10 +429,11 @@ int cmd_registry_append(const Args& args) {
       builder.retire(parse_u64(token, "device id in --retire"));
     }
   }
+  std::string out = args.get("out", "");
+  args.reject_unread();
   ROPUF_REQUIRE(builder.entry_count() > 0,
                 "nothing to append: give --devices and/or --retire");
 
-  std::string out = args.get("out", "");
   if (out.empty()) {
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), ".delta-%04zu", files.deltas.size() + 1);
@@ -444,6 +459,7 @@ int cmd_registry_compact(const Args& args) {
   const std::string base_path = args.get("registry", "");
   registry::EpochFileSet files = registry::load_epoch_files(base_path);
   const std::string out = args.get("out", base_path);
+  args.reject_unread();
   const std::vector<std::string> merged_paths = std::move(files.delta_paths);
 
   const registry::RegistrySnapshot snapshot(std::move(files.base),
@@ -468,6 +484,7 @@ int cmd_registry_compact(const Args& args) {
 int cmd_registry_epochs(const Args& args) {
   ROPUF_REQUIRE(args.has("registry"), "--registry is required");
   const std::string base_path = args.get("registry", "");
+  args.reject_unread();
   registry::EpochFileSet files = registry::load_epoch_files(base_path);
   std::printf("base:    %s (%zu devices, %zu bytes)\n", base_path.c_str(),
               files.base.device_count(), files.base.byte_size());
@@ -487,6 +504,7 @@ int cmd_registry_epochs(const Args& args) {
 
 int cmd_registry_stats(const Args& args) {
   const registry::Registry reg = registry_from_args(args);
+  args.reject_unread();
   const registry::RegistryStats stats = reg.stats();
   std::printf("registry: %zu devices, %zu bytes, format v%u\n", stats.devices,
               reg.byte_size(), registry::kFormatVersion);
@@ -541,10 +559,11 @@ int cmd_auth_batch(const Args& args) {
   const registry::Registry reg = registry_from_args(args);
   const service::AuthServiceOptions opts = auth_options_from_args(args);
   const service::AuthService svc(&reg, opts);
-  const std::uint64_t protocol = u64_arg(args, "protocol", 1);
-  ROPUF_REQUIRE(protocol == 1 || protocol == 2, "--protocol must be 1 or 2");
-
+  const std::uint16_t protocol = protocol_arg(args);
   service::WorkloadSpec workload = workload_from_args(args);
+  // v2 proofs carry no readout to inject faults into.
+  auto injector = protocol == 1 ? fault_injector_from_args(args) : std::nullopt;
+  args.reject_unread();
 
   if (protocol == 2) {
     const auto intents = service::synthesize_proof_workload(reg, workload);
@@ -556,7 +575,6 @@ int cmd_auth_batch(const Args& args) {
     return 0;
   }
 
-  auto injector = fault_injector_from_args(args);
   if (injector.has_value()) workload.injector = &*injector;
 
   const auto requests = service::synthesize_workload(reg, opts, workload);
@@ -597,13 +615,14 @@ int cmd_auth_client(const Args& args) {
   ROPUF_REQUIRE(args.has("port"), "--port is required");
   const registry::Registry reg = registry_from_args(args);
   const service::AuthServiceOptions opts = auth_options_from_args(args);
-  const std::uint64_t protocol = u64_arg(args, "protocol", 1);
-  ROPUF_REQUIRE(protocol == 1 || protocol == 2, "--protocol must be 1 or 2");
+  const std::uint16_t protocol = protocol_arg(args);
+  const service::WorkloadSpec workload = workload_from_args(args);
 
   net::ClientOptions client_opts;
   client_opts.host = args.get("host", "127.0.0.1");
   client_opts.port = port_arg(args);
   client_opts.window = static_cast<std::size_t>(u64_arg(args, "window", 128));
+  args.reject_unread();
   net::AuthClient client(client_opts);
   client.connect();
 
@@ -616,8 +635,7 @@ int cmd_auth_client(const Args& args) {
   }
 
   if (v2) {
-    const auto intents =
-        service::synthesize_proof_workload(reg, workload_from_args(args));
+    const auto intents = service::synthesize_proof_workload(reg, workload);
     const std::vector<net::WireResponse> responses = client.send_proof_batch(intents);
     std::printf("auth client: %zu proof requests to %s:%u (protocol v2)\n",
                 intents.size(), client_opts.host.c_str(), client_opts.port);
@@ -625,8 +643,7 @@ int cmd_auth_client(const Args& args) {
     return 0;
   }
 
-  const auto requests =
-      service::synthesize_workload(reg, opts, workload_from_args(args));
+  const auto requests = service::synthesize_workload(reg, opts, workload);
   const std::vector<net::WireResponse> responses = client.send_batch(requests);
   std::printf("auth client: %zu requests to %s:%u (bits=%zu max-hd=%zu)\n",
               requests.size(), client_opts.host.c_str(), client_opts.port,
@@ -645,11 +662,8 @@ int usage() {
                "          [--forge-rate R] [--unknown-rate R] [--workload-seed S]\n"
                "          [--fault-rate R] [--fault-seed S]\n"
                "          [--rate-burst N --rate-interval T] [--crp-budget N]\n"
-               "          [--reuse-budget N] [--challenge-sketch N]\n"
-               "          [--admission-devices N] [--detector on|off]\n"
-               "          [--detector-window N] [--detector-threshold N]\n"
-               "          [--detector-max-level N] [--detector-decay N]\n"
-               "          [--detector-devices N] [--protocol 1|2]\n"
+               "          [--reuse-budget N] [--admission-devices N]\n"
+               "          [--detector on|off] [--protocol 1|2]\n"
                "  auth-client --port P [--host A] [--window W] [--protocol 1|2]\n"
                "          [--registry F | --devices N --seed S ...] [--requests N]\n"
                "          [--bits B] [--max-hd D] [--flip-rate R] [--forge-rate R]\n"
@@ -679,6 +693,8 @@ int usage() {
                "bound the worker pool; outputs are bit-identical for every N.\n"
                "every command accepts --metrics-out F.json (metrics snapshot) and\n"
                "--trace-out F.json (Chrome trace_event timeline for chrome://tracing).\n"
+               "a flag the command does not read (a typo, or one that only applies\n"
+               "to another command or mode) is an error.\n"
                "`stats` runs a pinned mini-workload, prints a one-line workload summary\n"
                "(seed, response flips, masked pairs, uniqueness %%), then the metrics\n"
                "summary table in two aligned columns per section: `counter value`\n"

@@ -7,15 +7,11 @@
 // prints a one-line service summary.
 //
 //   ropuf_serve [--registry F | --devices N --seed S ...]
-//               [--registry-watch on|off]
 //               [--bind A] [--port P] [--port-file F]
 //               [--bits B] [--max-hd D] [--cache C] [--unknown-cache C]
 //               [--rate-burst N --rate-interval T] [--crp-budget N]
-//               [--reuse-budget N] [--challenge-sketch N]
-//               [--admission-devices N]
-//               [--detector on|off] [--detector-window N]
-//               [--detector-threshold N] [--detector-max-level N]
-//               [--detector-decay N] [--detector-devices N]
+//               [--reuse-budget N] [--admission-devices N]
+//               [--detector on|off]
 //               [--threads N]
 //               [--shards N]
 //               [--max-connections N] [--max-pending N] [--max-batch N]
@@ -27,14 +23,15 @@
 // --port 0 (the default) binds a kernel-assigned ephemeral port;
 // --port-file writes the resolved port as a single decimal line once the
 // server is listening, so scripted callers (the ctest smoke test) can wait
-// for the file instead of parsing stdout.
+// for the file instead of parsing stdout. A flag the server does not read
+// is an error, reported before it binds.
 //
-// --registry-watch on (the default whenever --registry is given) installs a
-// SIGHUP handler: on signal, the base file and its `<base>.delta-*` siblings
-// are re-read and installed as a new epoch without dropping a connection or
-// splitting an in-flight batch (registry/epoch.h). A failed reload — file
-// missing or corrupt mid-rewrite — keeps the current epoch serving and is
-// reported on stdout and in net.reload_failures.
+// With --registry, SIGHUP re-reads the base file and its `<base>.delta-*`
+// siblings and installs them as a new epoch without dropping a connection
+// or splitting an in-flight batch (registry/epoch.h). A failed reload —
+// file missing or corrupt mid-rewrite — keeps the current epoch serving and
+// is reported on stdout and in net.reload_failures. A fleet minted in
+// memory has no files to re-read, so SIGHUP is left at its default there.
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -70,9 +67,6 @@ int serve(const Args& args) {
 
   const bool from_file = args.has("registry");
   const std::string registry_path = args.get("registry", "");
-  const std::string watch = args.get("registry-watch", from_file ? "on" : "off");
-  ROPUF_REQUIRE(watch == "on" || watch == "off", "--registry-watch must be on or off");
-  ROPUF_REQUIRE(watch == "off" || from_file, "--registry-watch on requires --registry");
 
   registry::EpochRegistry epochs = [&]() -> registry::EpochRegistry {
     if (from_file) {
@@ -109,6 +103,9 @@ int serve(const Args& args) {
     opts.nonce_seed = u64_arg(args, "nonce-seed", 0);
   }
   opts.max_sessions = static_cast<std::size_t>(u64_arg(args, "max-sessions", 1024));
+  const bool write_port_file = args.has("port-file");
+  const std::string port_file = args.get("port-file", "");
+  args.reject_unread();
 
   net::AuthServer server(&svc, opts);
   const std::uint16_t port = server.bind_and_listen();
@@ -118,7 +115,7 @@ int serve(const Args& args) {
   action.sa_handler = handle_stop_signal;
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
-  if (watch == "on") {
+  if (from_file) {
     // The reload handler runs on shard 0's reactor thread between poll
     // sweeps, never in signal context — ordinary I/O and exceptions are
     // fine here. AuthServer swallows what we rethrow (after printing) into
@@ -143,12 +140,11 @@ int serve(const Args& args) {
     ::sigaction(SIGHUP, &reload, nullptr);
   }
 
-  if (args.has("port-file")) {
-    const std::string path = args.get("port-file", "");
-    std::ofstream file(path);
-    ROPUF_REQUIRE(file.good(), "cannot open port file " + path);
+  if (write_port_file) {
+    std::ofstream file(port_file);
+    ROPUF_REQUIRE(file.good(), "cannot open port file " + port_file);
     file << port << "\n";
-    ROPUF_REQUIRE(file.flush().good(), "failed writing port file " + path);
+    ROPUF_REQUIRE(file.flush().good(), "failed writing port file " + port_file);
   }
   // The SHA-256 compression in use prices every v2 nonce and tag check.
   if (server.shard_count() > 1) {
@@ -176,16 +172,12 @@ int serve(const Args& args) {
 int usage() {
   std::fprintf(stderr,
                "usage: ropuf_serve [--registry F | --devices N --seed S ...]\n"
-               "                   [--registry-watch on|off]\n"
                "                   [--bind A] [--port P] [--port-file F]\n"
                "                   [--bits B] [--max-hd D] [--cache C]\n"
                "                   [--unknown-cache C] [--threads N]\n"
                "                   [--rate-burst N --rate-interval T]\n"
                "                   [--crp-budget N] [--reuse-budget N]\n"
-               "                   [--challenge-sketch N] [--admission-devices N]\n"
-               "                   [--detector on|off] [--detector-window N]\n"
-               "                   [--detector-threshold N] [--detector-max-level N]\n"
-               "                   [--detector-decay N] [--detector-devices N]\n"
+               "                   [--admission-devices N] [--detector on|off]\n"
                "                   [--shards N]\n"
                "                   [--max-connections N] [--max-pending N]\n"
                "                   [--max-batch N] [--max-read-per-sweep N]\n"
@@ -195,7 +187,8 @@ int usage() {
                "                   [--metrics-out F.json] [--trace-out F.json]\n"
                "serves the framed authentication protocol until SIGINT/SIGTERM,\n"
                "then drains gracefully; SIGHUP re-reads --registry and its\n"
-               "delta segments as a new epoch (see docs/serving.md).\n");
+               "delta segments as a new epoch (see docs/serving.md). a flag the\n"
+               "server does not read is an error.\n");
   return 64;
 }
 

@@ -8,15 +8,15 @@
 // clone of one device from whatever the admission layer admits. Prints
 // attacker accuracy vs. admitted queries and legitimate availability.
 //
-//   ropuf_soak [--devices N] [--stages N] [--pairs P] [--seed S] [--noise PS]
+//   ropuf_soak [--devices N] [--stages N] [--pairs P] [--mode case1|case2]
+//              [--seed S] [--noise PS]
 //              [--bits B] [--max-hd D] [--cache C] [--unknown-cache C]
 //              [--rate-burst N --rate-interval T] [--crp-budget N]
-//              [--reuse-budget N] [--challenge-sketch N] [--admission-devices N]
-//              [--detector on|off] [--detector-window N] [--detector-threshold N]
-//              [--detector-max-level N] [--detector-decay N] [--detector-devices N]
+//              [--reuse-budget N] [--admission-devices N] [--detector on|off]
 //              [--attacker-decoys N]
 //              [--slots N] [--burst N] [--probes N] [--checkpoints N]
-//              [--eval-challenges N] [--protocol 1|2] [--compare on|off]
+//              [--eval-challenges N] [--soak-seed S] [--protocol 1|2]
+//              [--compare on|off]
 //              [--require-defense on|off] [--require-detector on|off]
 //              [--shards N] [--threads N]
 //              [--metrics-out F.json] [--trace-out F.json]
@@ -32,7 +32,8 @@
 // detector strictly widens the clone-accuracy gap over static admission at
 // >= 99% availability with digest parity, the attacked device escalated,
 // and no legitimate prover did. --attacker-decoys N arms the evasive
-// low-and-slow harvester for any of these modes.
+// low-and-slow harvester for any of these modes. A flag the soak does not
+// read is an error, reported before the first soak runs.
 #include <cstdio>
 
 #include "cli_common.h"
@@ -62,7 +63,7 @@ soak::SoakOptions soak_options_from_args(const Args& args) {
       static_cast<std::size_t>(u64_arg(args, "eval-challenges", 64));
   options.readout_noise_ps = args.number("noise", 0.5);
   options.seed = u64_arg(args, "soak-seed", 0x50a4);
-  options.protocol = static_cast<std::uint16_t>(u64_arg(args, "protocol", 1));
+  options.protocol = protocol_arg(args);
   // Sharded serving must preserve the whole defense contract, so the soak
   // takes the same --shards knob as ropuf_serve. The driver's closed loop
   // (next event waits for the previous answer) keeps the global arrival
@@ -115,6 +116,7 @@ int run(const Args& args) {
   const bool compare = switch_arg(args, "compare", false) || require_defense;
 
   const soak::SoakOptions defended = soak_options_from_args(args);
+  args.reject_unread();
   std::printf("soak: %zu devices, %zu slots x (%zu probes + %zu legit), "
               "protocol v%u, admission %s, detector %s\n",
               defended.fleet.devices, defended.slots,
@@ -225,13 +227,11 @@ int run(const Args& args) {
 int usage() {
   std::fprintf(stderr,
                "usage: ropuf_soak [--devices N] [--stages N] [--pairs P] [--seed S]\n"
-               "                  [--noise PS] [--bits B] [--max-hd D]\n"
+               "                  [--mode case1|case2] [--noise PS] [--bits B]\n"
+               "                  [--max-hd D] [--cache C] [--unknown-cache C]\n"
                "                  [--rate-burst N --rate-interval T]\n"
                "                  [--crp-budget N] [--reuse-budget N]\n"
-               "                  [--challenge-sketch N] [--admission-devices N]\n"
-               "                  [--detector on|off] [--detector-window N]\n"
-               "                  [--detector-threshold N] [--detector-max-level N]\n"
-               "                  [--detector-decay N] [--detector-devices N]\n"
+               "                  [--admission-devices N] [--detector on|off]\n"
                "                  [--attacker-decoys N]\n"
                "                  [--slots N] [--burst N] [--probes N]\n"
                "                  [--checkpoints N] [--eval-challenges N]\n"
@@ -240,7 +240,8 @@ int usage() {
                "                  [--shards N] [--threads N]\n"
                "                  [--metrics-out F.json] [--trace-out F.json]\n"
                "closed-loop attack soak against the real loopback server;\n"
-               "see docs/attack_soak.md.\n");
+               "see docs/attack_soak.md. a flag the soak does not read is an\n"
+               "error.\n");
   return 64;
 }
 
