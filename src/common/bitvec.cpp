@@ -91,6 +91,25 @@ BitVec BitVec::from_bits(const std::vector<int>& bits) {
   return v;
 }
 
+BitVec BitVec::from_packed_bytes(std::string_view bytes, std::size_t bits) {
+  const std::size_t tail = bits % 8;
+  ROPUF_REQUIRE(bytes.size() == bits / 8 + (tail != 0 ? 1 : 0),
+                "packed bytes must hold exactly the bit count");
+  ROPUF_REQUIRE(tail == 0 || (static_cast<unsigned char>(bytes.back()) >> tail) == 0,
+                "padding bits past the bit count must be zero");
+  BitVec v(bits);
+  std::uint64_t* words = v.data();
+  for (std::size_t at = 0; at < bytes.size(); at += 8) {
+    const std::size_t n = std::min<std::size_t>(8, bytes.size() - at);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < n; ++b) {
+      word |= std::uint64_t{static_cast<unsigned char>(bytes[at + b])} << (8 * b);
+    }
+    words[at / 8] = word;
+  }
+  return v;
+}
+
 bool BitVec::get(std::size_t i) const {
   ROPUF_REQUIRE(i < size_, "BitVec index out of range");
   return (data()[i / kWordBits] >> (i % kWordBits)) & 1u;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ropuf {
@@ -35,6 +36,11 @@ class BitVec {
 
   /// Builds from a vector<bool>-style container of bit values.
   static BitVec from_bits(const std::vector<int>& bits);
+
+  /// Builds `bits` bits from `bytes` packed LSB-first (bit i is bit i % 8 of
+  /// byte i / 8), a word at a time. `bytes` holds exactly ceil(bits / 8)
+  /// bytes, and the padding bits past `bits` in the last one are zero.
+  static BitVec from_packed_bytes(std::string_view bytes, std::size_t bits);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <thread>
 
 #include "common/error.h"
@@ -333,10 +334,11 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
         nonce_factory_.next(request.device_id, request.request_id);
     // A repeated request id overwrites its session: the newest challenge is
     // the only one a proof can answer.
-    connection.sessions[request.request_id] =
-        PendingChallenge{request.device_id, nonce};
+    connection.sessions.put(request.request_id,
+                            PendingChallenge{request.device_id, nonce});
     challenges.add(1);
-    answer(encode_challenge_frame(request.request_id, nonce));
+    shard.pending.push_back(
+        PendingEntry{index, ChallengePayload{request.request_id, nonce}});
     return;
   }
 
@@ -348,8 +350,11 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
       bad_frame(encode_response_frame_v2(0, bad));
       return;
     }
-    const auto session = connection.sessions.find(proof.request_id);
-    if (session == connection.sessions.end()) {
+    // Consume the session before judging: even a valid proof verifies at
+    // most once per challenge, and a refused one must start over.
+    const std::optional<PendingChallenge> session =
+        connection.sessions.take(proof.request_id);
+    if (!session) {
       // No outstanding challenge for this id: a replayed or fabricated
       // proof. The nonce it was computed over is gone, so reject.
       replays.add(1);
@@ -359,12 +364,9 @@ void AuthServer::handle_frame(Shard& shard, std::size_t index, const FrameView& 
     }
     service::ProofRequest request;
     request.request_id = proof.request_id;
-    request.device_id = session->second.device_id;
-    request.nonce = session->second.nonce;
+    request.device_id = session->device_id;
+    request.nonce = session->nonce;
     request.tag = proof.tag;
-    // Consume the session before judging: even a valid proof verifies at
-    // most once per challenge, and a refused one must start over.
-    connection.sessions.erase(session);
     if (full) {
       overloads.add(1);
       answer(encode_response_frame_v2(request.request_id, overloaded));
@@ -498,6 +500,10 @@ void AuthServer::drain_pending(Shard& shard) {
       if (const auto* bytes = std::get_if<std::string>(&entry.work)) {
         write_answer(shard, entry.connection,
                      [&](std::string& out) { out.append(*bytes); });
+      } else if (const auto* challenge = std::get_if<ChallengePayload>(&entry.work)) {
+        write_answer(shard, entry.connection, [&](std::string& out) {
+          append_challenge_frame(out, challenge->request_id, challenge->nonce);
+        });
       } else if (const auto* proof = std::get_if<service::ProofRequest>(&entry.work)) {
         const WireResponse response = wire_response(proof_verdicts[next_proof++]);
         write_answer(shard, entry.connection, [&](std::string& out) {

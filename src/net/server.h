@@ -8,15 +8,16 @@
 // as they arrive.
 //
 // Every frame takes one route. Decoding it updates the connection's state
-// (version pin, v2 session map) and queues one pending entry per answer
-// owed: the answer itself, already encoded (hello reply, v2 challenge,
-// kBadFrame, kOverloaded, replay reject), or a v1 request or v2 proof to
-// verify. Once per sweep the shard drains its queue: each front run of at
-// most max_batch unverified entries goes through one
-// AuthService::verify_batch call and one verify_proof_batch call on the
-// deterministic parallel pool, then every answer in the run is encoded
-// straight into its connection's output buffer (a warm v1 request
-// allocates nothing on the way; docs/serving.md), in frame-arrival order.
+// (version pin, v2 session table) and queues one pending entry per answer
+// owed: the answer itself, already encoded (hello reply, kBadFrame,
+// kOverloaded, replay reject), a v2 challenge's {request id, nonce}, or a
+// v1 request or v2 proof to verify. Once per sweep the shard drains its
+// queue: each front run of at most max_batch unverified entries goes
+// through one AuthService::verify_batch call and one verify_proof_batch
+// call on the deterministic parallel pool, then every answer in the run is
+// encoded straight into its connection's output buffer (a warm v1 request
+// and a warm v2 request allocate nothing on the way; docs/serving.md), in
+// frame-arrival order.
 // That is the one ordering rule — a connection's answers leave in the
 // order its frames arrived — so a v1 answer N always pairs with request N
 // although the wire carries no request ids. Verdicts are bit-identical to
@@ -35,9 +36,10 @@
 //
 // Protocol v2 (docs/protocol_v2.md) rides the same route. A kClientHello
 // pins the connection's version. Each connection keeps a bounded session
-// map of outstanding challenges (max_sessions; past it a v2 request answers
-// kOverloaded with its request id), and a proof consumes its session on
-// arrival (a replayed proof finds no session and answers kReject).
+// table of outstanding challenges (net/session_table.h; max_sessions, past
+// which a v2 request answers kOverloaded with its request id), and a proof
+// consumes its session on arrival (a replayed proof finds no session and
+// answers kReject).
 // Verification is pure HMAC recomputation with no admission counters, so
 // the verdict for a given (device, nonce, tag) triple is bit-identical at
 // any shard count and thread budget.
@@ -86,11 +88,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "auth/auth.h"
+#include "net/session_table.h"
 #include "net/wire.h"
 #include "service/auth_service.h"
 
@@ -204,12 +206,6 @@ class AuthServer {
   }
 
  private:
-  /// One outstanding v2 challenge: what the server must remember between
-  /// issuing a nonce and judging the proof that answers it.
-  struct PendingChallenge {
-    std::uint64_t device_id = 0;
-    auth::Nonce nonce{};
-  };
   struct Connection {
     int fd = -1;
     std::string in;       ///< buffered unparsed stream bytes
@@ -222,14 +218,16 @@ class AuthServer {
     std::uint16_t version = kWireVersion;
     /// Outstanding v2 challenges keyed by request id; bounded by
     /// max_sessions. A proof consumes its entry — replays find nothing.
-    std::unordered_map<std::uint64_t, PendingChallenge> sessions;
+    SessionTable sessions;
   };
   /// One answer owed, in frame-arrival order: the answer's encoded bytes
-  /// when the loop produced it itself, else the v1 request or v2 proof
-  /// whose verdict drain_pending encodes.
+  /// when the loop produced it itself, a v2 challenge to encode, else the
+  /// v1 request or v2 proof whose verdict drain_pending encodes.
   struct PendingEntry {
     std::size_t connection;  ///< index into the owning shard's connections
-    std::variant<std::string, service::AuthRequest, service::ProofRequest> work;
+    std::variant<std::string, ChallengePayload, service::AuthRequest,
+                 service::ProofRequest>
+        work;
   };
   /// Per-shard counters ("net.shard<i>.*"); resolved once at construction
   /// when shards > 1, null in single-shard servers so the hot path pays

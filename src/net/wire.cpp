@@ -1,17 +1,26 @@
 #include "net/wire.h"
 
+#include <cstring>
+#include <span>
+
 #include "registry/format.h"
 
 namespace ropuf::net {
 namespace {
 
+using registry::load_le;
+using registry::store_le;
+
 /// ByteReader defect for reads that cannot overrun (sizes pre-validated);
 /// if it ever fires the caller has a bug, not the peer.
 constexpr registry::Defect kNeverOverruns = registry::Defect::kTruncated;
 
+/// A request payload's fixed fields: u64 device_id, u64 challenge, u32 bits.
+constexpr std::size_t kRequestFixedBytes = 8 + 8 + 4;
+
 /// Request payload byte count for a given response bit count.
 std::size_t request_payload_bytes(std::size_t bits) {
-  return 8 + 8 + 4 + (bits + 7) / 8;
+  return kRequestFixedBytes + (bits + 7) / 8;
 }
 
 constexpr std::size_t kResponsePayloadBytes = 1 + 8 + 4;
@@ -21,38 +30,48 @@ constexpr std::size_t kChallengePayloadBytes = 8 + 16;
 constexpr std::size_t kProofPayloadBytes = 8 + 32;
 constexpr std::size_t kResponseV2PayloadBytes = 8 + kResponsePayloadBytes;
 
-/// Appends one frame to `out`: the header announcing `payload_bytes`, the
-/// payload `write_payload` packs through a ByteWriter over `out`, then the
-/// payload CRC patched into the header. Every encoder is this one call, so
-/// a frame built into its own string and one appended to a connection's
-/// output buffer are the same bytes.
-template <typename WritePayload>
+/// Appends one frame to `out`: grows it once by the header and the
+/// payload, lets `store_payload` fill the payload bytes in place, then
+/// stores the header fields and the payload CRC at their fixed offsets.
+/// Every encoder is this one call, so a frame built into its own string and
+/// one appended to a connection's output buffer are the same bytes.
+template <typename StorePayload>
 void append_frame(std::string& out, FrameType type, std::uint16_t version,
-                  std::size_t payload_bytes, const WritePayload& write_payload) {
+                  std::size_t payload_bytes, const StorePayload& store_payload) {
   const std::size_t start = out.size();
-  registry::ByteWriter writer(out);
-  writer.u32(kFrameMagic);
-  writer.u16(version);
-  writer.u16(static_cast<std::uint16_t>(type));
-  writer.u32(static_cast<std::uint32_t>(payload_bytes));
-  writer.u32(0);  // payload CRC, patched below
-  write_payload(writer);
-  const std::string_view payload = std::string_view(out).substr(start + kFrameHeaderBytes);
-  ROPUF_REQUIRE(payload.size() == payload_bytes, "frame payload size mismatch");
-  const std::uint32_t crc = registry::crc32(payload);
-  for (std::size_t i = 0; i < 4; ++i) {
-    out[start + 12 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  out.resize(start + kFrameHeaderBytes + payload_bytes);
+  char* const header = out.data() + start;
+  char* const payload = header + kFrameHeaderBytes;
+  store_payload(payload);
+  store_le(header, kFrameMagic);
+  store_le(header + 4, version);
+  store_le(header + 6, static_cast<std::uint16_t>(type));
+  store_le(header + 8, static_cast<std::uint32_t>(payload_bytes));
+  store_le(header + 12, registry::crc32(std::string_view(payload, payload_bytes)));
 }
 
 /// append_frame into a fresh string: the encode_* form.
-template <typename WritePayload>
+template <typename StorePayload>
 std::string encode_frame(FrameType type, std::uint16_t version, std::size_t payload_bytes,
-                         const WritePayload& write_payload) {
+                         const StorePayload& store_payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload_bytes);
-  append_frame(out, type, version, payload_bytes, write_payload);
+  append_frame(out, type, version, payload_bytes, store_payload);
   return out;
+}
+
+/// The v1 response fields at `p`: u8 status, u64 distance, u32 bits.
+void store_response(char* p, const WireResponse& response) {
+  p[0] = static_cast<char>(response.status);
+  store_le(p + 1, response.distance);
+  store_le(p + 9, response.response_bits);
+}
+
+/// A request id followed by a byte array (a nonce or a tag) at `p`.
+void store_id_and_bytes(char* p, std::uint64_t request_id,
+                        std::span<const std::uint8_t> bytes) {
+  store_le(p, request_id);
+  std::memcpy(p + 8, bytes.data(), bytes.size());
 }
 
 WireError bad_payload_size(const char* what, std::size_t want, std::size_t got) {
@@ -170,32 +189,24 @@ service::AuthVerdict auth_verdict(const WireResponse& response) {
 
 std::string encode_request_frame(const service::AuthRequest& request) {
   const std::size_t bits = request.response.size();
+  const std::span<const std::uint64_t> words = request.response.words();
   return encode_frame(FrameType::kAuthRequest, kWireVersion, request_payload_bytes(bits),
-                      [&](registry::ByteWriter& payload) {
-                        payload.u64(request.device_id);
-                        payload.u64(request.challenge);
-                        payload.u32(static_cast<std::uint32_t>(bits));
-                        std::uint8_t byte = 0;
-                        for (std::size_t i = 0; i < bits; ++i) {
-                          if (request.response.get(i)) {
-                            byte |= static_cast<std::uint8_t>(1u << (i % 8));
-                          }
-                          if (i % 8 == 7) {
-                            payload.u8(byte);
-                            byte = 0;
-                          }
+                      [&](char* p) {
+                        store_le(p, request.device_id);
+                        store_le(p + 8, request.challenge);
+                        store_le(p + 16, static_cast<std::uint32_t>(bits));
+                        // LSB-first bytes of the words; the bits past size()
+                        // are zero, so the padding is too.
+                        char* const packed = p + kRequestFixedBytes;
+                        for (std::size_t i = 0; i < (bits + 7) / 8; ++i) {
+                          packed[i] = static_cast<char>(words[i / 8] >> (8 * (i % 8)));
                         }
-                        if (bits % 8 != 0) payload.u8(byte);
                       });
 }
 
 void append_response_frame(std::string& out, const WireResponse& response) {
   append_frame(out, FrameType::kAuthResponse, kWireVersion, kResponsePayloadBytes,
-               [&](registry::ByteWriter& payload) {
-                 payload.u8(static_cast<std::uint8_t>(response.status));
-                 payload.u64(response.distance);
-                 payload.u32(response.response_bits);
-               });
+               [&](char* p) { store_response(p, response); });
 }
 
 std::string encode_response_frame(const WireResponse& response) {
@@ -210,48 +221,48 @@ std::string encode_client_hello(std::uint16_t max_version) {
   // unknown type, not a fatal unknown version, so the connection survives
   // for the v1 fallback.
   return encode_frame(FrameType::kClientHello, kWireVersion, kHelloPayloadBytes,
-                      [&](registry::ByteWriter& payload) { payload.u16(max_version); });
+                      [&](char* p) { store_le(p, max_version); });
 }
 
 std::string encode_server_hello(std::uint16_t version) {
   return encode_frame(FrameType::kServerHello, kWireVersion, kHelloPayloadBytes,
-                      [&](registry::ByteWriter& payload) { payload.u16(version); });
+                      [&](char* p) { store_le(p, version); });
 }
 
 std::string encode_request_frame_v2(std::uint64_t request_id,
                                     std::uint64_t device_id) {
   return encode_frame(FrameType::kAuthRequest, kWireVersionV2, kRequestV2PayloadBytes,
-                      [&](registry::ByteWriter& payload) {
-                        payload.u64(request_id);
-                        payload.u64(device_id);
+                      [&](char* p) {
+                        store_le(p, request_id);
+                        store_le(p + 8, device_id);
                       });
+}
+
+void append_challenge_frame(std::string& out, std::uint64_t request_id,
+                            const auth::Nonce& nonce) {
+  append_frame(out, FrameType::kAuthChallenge, kWireVersionV2, kChallengePayloadBytes,
+               [&](char* p) { store_id_and_bytes(p, request_id, nonce); });
 }
 
 std::string encode_challenge_frame(std::uint64_t request_id,
                                    const auth::Nonce& nonce) {
-  return encode_frame(FrameType::kAuthChallenge, kWireVersionV2, kChallengePayloadBytes,
-                      [&](registry::ByteWriter& payload) {
-                        payload.u64(request_id);
-                        for (const std::uint8_t byte : nonce) payload.u8(byte);
-                      });
+  std::string out;
+  out.reserve(kFrameHeaderBytes + kChallengePayloadBytes);
+  append_challenge_frame(out, request_id, nonce);
+  return out;
 }
 
 std::string encode_proof_frame(std::uint64_t request_id, const auth::Tag& tag) {
   return encode_frame(FrameType::kAuthProof, kWireVersionV2, kProofPayloadBytes,
-                      [&](registry::ByteWriter& payload) {
-                        payload.u64(request_id);
-                        for (const std::uint8_t byte : tag) payload.u8(byte);
-                      });
+                      [&](char* p) { store_id_and_bytes(p, request_id, tag); });
 }
 
 void append_response_frame_v2(std::string& out, std::uint64_t request_id,
                               const WireResponse& response) {
   append_frame(out, FrameType::kAuthResponse, kWireVersionV2, kResponseV2PayloadBytes,
-               [&](registry::ByteWriter& payload) {
-                 payload.u64(request_id);
-                 payload.u8(static_cast<std::uint8_t>(response.status));
-                 payload.u64(response.distance);
-                 payload.u32(response.response_bits);
+               [&](char* p) {
+                 store_le(p, request_id);
+                 store_response(p + 8, response);
                });
 }
 
@@ -269,12 +280,12 @@ ExtractResult try_extract_frame(std::string_view buffer) {
   ExtractResult result;
   if (buffer.size() < kFrameHeaderBytes) return result;  // kNeedMore
 
-  registry::ByteReader header(buffer.substr(0, kFrameHeaderBytes), kNeverOverruns);
-  const std::uint32_t magic = header.u32();
-  const std::uint16_t version = header.u16();
-  const std::uint16_t type = header.u16();
-  const std::uint32_t length = header.u32();
-  const std::uint32_t checksum = header.u32();
+  const char* const header = buffer.data();
+  const auto magic = load_le<std::uint32_t>(header);
+  const auto version = load_le<std::uint16_t>(header + 4);
+  const auto type = load_le<std::uint16_t>(header + 6);
+  const auto length = load_le<std::uint32_t>(header + 8);
+  const auto checksum = load_le<std::uint32_t>(header + 12);
 
   const auto defect = [&result](FrameDefect d, std::size_t consume) {
     result.status = ExtractResult::Status::kDefect;
@@ -314,12 +325,12 @@ ExtractResult try_extract_frame(std::string_view buffer) {
 }
 
 service::AuthRequest decode_request_payload(std::string_view payload) {
-  if (payload.size() < 20) {
+  if (payload.size() < kRequestFixedBytes) {
     throw WireError(FrameDefect::kBadPayload,
                     "request payload of " + std::to_string(payload.size()) +
                         " bytes is shorter than its fixed fields");
   }
-  registry::ByteReader reader(payload.substr(0, 20), kNeverOverruns);
+  registry::ByteReader reader(payload, kNeverOverruns);
   service::AuthRequest request;
   request.device_id = reader.u64();
   request.challenge = reader.u64();
@@ -330,21 +341,15 @@ service::AuthRequest decode_request_payload(std::string_view payload) {
                         " response bits but carries " +
                         std::to_string(payload.size()) + " payload bytes");
   }
-  BitVec response(bits);
-  for (std::size_t i = 0; i < bits; ++i) {
-    const auto byte = static_cast<std::uint8_t>(payload[20 + i / 8]);
-    response.set(i, (byte >> (i % 8)) & 1u);
-  }
   // Canonical encoding: padding bits past the announced count must be zero,
-  // so every decoded request has exactly one byte representation.
-  if (bits % 8 != 0) {
-    const auto last = static_cast<std::uint8_t>(payload[payload.size() - 1]);
-    if ((last >> (bits % 8)) != 0) {
-      throw WireError(FrameDefect::kBadPayload,
-                      "nonzero padding bits past the announced bit count");
-    }
+  // so every decoded request has exactly one byte representation. This
+  // comes before the BitVec is built: a BitVec's bits past size() are zero.
+  const std::string_view packed = payload.substr(kRequestFixedBytes);
+  if (bits % 8 != 0 && (static_cast<std::uint8_t>(packed.back()) >> (bits % 8)) != 0) {
+    throw WireError(FrameDefect::kBadPayload,
+                    "nonzero padding bits past the announced bit count");
   }
-  request.response = std::move(response);
+  request.response = BitVec::from_packed_bytes(packed, bits);
   return request;
 }
 
@@ -398,7 +403,7 @@ ChallengePayload decode_challenge_payload(std::string_view payload) {
   registry::ByteReader reader(payload, kNeverOverruns);
   ChallengePayload challenge;
   challenge.request_id = reader.u64();
-  for (std::uint8_t& byte : challenge.nonce) byte = reader.u8();
+  reader.raw(challenge.nonce);
   return challenge;
 }
 
@@ -409,7 +414,7 @@ ProofPayload decode_proof_payload(std::string_view payload) {
   registry::ByteReader reader(payload, kNeverOverruns);
   ProofPayload proof;
   proof.request_id = reader.u64();
-  for (std::uint8_t& byte : proof.tag) byte = reader.u8();
+  reader.raw(proof.tag);
   return proof;
 }
 

@@ -3,9 +3,11 @@
 // The serving front end (net/server.h) and its clients speak a
 // length-prefixed, CRC32-framed, little-endian byte protocol built from the
 // same primitives as the enrollment registry file format
-// (registry/format.h): ByteWriter/ByteReader packing and the IEEE-802.3
-// crc32. A frame is a fixed 16-byte header followed by a checksummed
-// payload:
+// (registry/format.h): the load_le/store_le pair, ByteReader and the
+// IEEE-802.3 crc32. Encoders size a frame once and store every field in
+// place at its fixed offset; decoders read the header at fixed offsets and
+// each payload field with one bounds check. A frame is a fixed 16-byte
+// header followed by a checksummed payload:
 //
 //   offset  size  field
 //   ------  ----  -------------------------------------------
@@ -177,6 +179,9 @@ std::string encode_request_frame_v2(std::uint64_t request_id,
 /// kAuthChallenge: u64 request_id, 16-byte nonce.
 std::string encode_challenge_frame(std::uint64_t request_id,
                                    const auth::Nonce& nonce);
+/// The same frame appended to `out`, like append_response_frame.
+void append_challenge_frame(std::string& out, std::uint64_t request_id,
+                            const auth::Nonce& nonce);
 /// kAuthProof: u64 request_id, 32-byte HMAC-SHA256 tag.
 std::string encode_proof_frame(std::uint64_t request_id, const auth::Tag& tag);
 /// v2 kAuthResponse: u64 request_id, then the v1 response fields.

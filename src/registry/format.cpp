@@ -15,34 +15,57 @@
 namespace ropuf::registry {
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: kCrcTables[0][b] is the CRC register update for
+/// byte b, and kCrcTables[k][b] the update for byte b followed by k zero
+/// bytes, so one lookup per byte of an 8-byte word, XORed together, advances
+/// the register over the whole word.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
 
-/// The low `N` bytes of v, least significant first, in one append.
-template <std::size_t N>
-void append_le(std::string& out, std::uint64_t v) {
-  char bytes[N];
-  for (std::size_t i = 0; i < N; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.append(bytes, N);
+/// One lookup per byte of a 4-byte word: `x` is the word's little-endian
+/// value (XORed with the register when it leads its step), and `zeros` the
+/// bytes of the step that follow it (4 for the first word of an 8-byte step).
+std::uint32_t crc_word(std::uint32_t x, std::size_t zeros) {
+  return kCrcTables[zeros + 3][x & 0xffu] ^ kCrcTables[zeros + 2][(x >> 8) & 0xffu] ^
+         kCrcTables[zeros + 1][(x >> 16) & 0xffu] ^ kCrcTables[zeros][x >> 24];
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes, std::uint32_t seed) {
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (const char byte : bytes) {
-    c = kCrcTable[(c ^ static_cast<std::uint8_t>(byte)) & 0xffu] ^ (c >> 8);
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    c = crc_word(c ^ load_le<std::uint32_t>(p), 4) ^
+        crc_word(load_le<std::uint32_t>(p + 4), 0);
+  }
+  if (n >= 4) {
+    c = crc_word(c ^ load_le<std::uint32_t>(p), 0);
+    p += 4;
+    n -= 4;
+  }
+  for (; n > 0; ++p, --n) {
+    c = kCrcTables[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }
@@ -61,74 +84,13 @@ const char* defect_name(Defect defect) {
   return "unknown";
 }
 
-void ByteWriter::u16(std::uint16_t v) { append_le<2>(*out_, v); }
-
-void ByteWriter::u32(std::uint32_t v) { append_le<4>(*out_, v); }
-
-void ByteWriter::u64(std::uint64_t v) { append_le<8>(*out_, v); }
-
-void ByteWriter::f64(double v) {
-  std::uint64_t pattern = 0;
-  static_assert(sizeof(pattern) == sizeof(v));
-  std::memcpy(&pattern, &v, sizeof(pattern));
-  u64(pattern);
-}
-
-void ByteReader::need(std::size_t n) const {
-  if (remaining() < n) {
-    throw FormatError(on_overrun_, "read of " + std::to_string(n) +
-                                       " bytes at offset " + std::to_string(pos_) +
-                                       " overruns the " +
-                                       std::to_string(bytes_.size()) + "-byte region");
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::uint16_t ByteReader::u16() {
-  const std::uint16_t lo = u8();
-  const std::uint16_t hi = u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t ByteReader::u32() {
-  const std::uint32_t lo = u16();
-  const std::uint32_t hi = u16();
-  return lo | (hi << 16);
-}
-
-std::uint64_t ByteReader::u64() {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | (hi << 32);
-}
-
-double ByteReader::f64() {
-  const std::uint64_t pattern = u64();
-  double v = 0.0;
-  std::memcpy(&v, &pattern, sizeof(v));
-  return v;
+void ByteReader::overrun(std::size_t n) const {
+  throw FormatError(on_overrun_, "read of " + std::to_string(n) + " bytes at offset " +
+                                     std::to_string(pos_) + " overruns the " +
+                                     std::to_string(bytes_.size()) + "-byte region");
 }
 
 // ----------------------------------------------------- sectioned container
-
-namespace {
-
-/// Little-endian u64 at `offset`; the caller guarantees bounds (index reads
-/// after validation proved the geometry).
-std::uint64_t read_u64_at(std::string_view bytes, std::size_t offset) {
-  std::uint64_t v = 0;
-  for (std::size_t b = 0; b < 8; ++b) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[offset + b]))
-         << (8 * b);
-  }
-  return v;
-}
-
-}  // namespace
 
 SectionedImage SectionedImage::from_bytes(std::string bytes, const ImageKind& kind) {
   auto owned = std::make_shared<const std::string>(std::move(bytes));
@@ -253,9 +215,10 @@ SectionedImage::SectionedImage(std::shared_ptr<const void> owner,
 
 IndexEntry SectionedImage::entry_at(std::size_t i) const {
   ROPUF_REQUIRE(i < entry_count_, "index entry out of range");
-  const std::size_t at = kHeaderBytes + i * kIndexEntryBytes;
-  const std::uint64_t size = read_u64_at(bytes_, at + 16);
-  return IndexEntry{read_u64_at(bytes_, at), read_u64_at(bytes_, at + 8), size,
+  // Validation proved the index lies inside the image.
+  const char* at = bytes_.data() + kHeaderBytes + i * kIndexEntryBytes;
+  const std::uint64_t size = load_le<std::uint64_t>(at + 16);
+  return IndexEntry{load_le<std::uint64_t>(at), load_le<std::uint64_t>(at + 8), size,
                     tombstones_ && size == 0};
 }
 
@@ -263,7 +226,8 @@ std::size_t SectionedImage::index_position(std::uint64_t device_id) const {
   std::size_t lo = 0, hi = entry_count_;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t mid_id = read_u64_at(bytes_, kHeaderBytes + mid * kIndexEntryBytes);
+    const std::uint64_t mid_id =
+        load_le<std::uint64_t>(bytes_.data() + kHeaderBytes + mid * kIndexEntryBytes);
     if (mid_id == device_id) return mid;
     if (mid_id < device_id) {
       lo = mid + 1;

@@ -5,9 +5,15 @@
 // provides the pieces every producer and consumer shares:
 //
 //  * crc32 — the IEEE 802.3 polynomial (reflected, init/xorout 0xffffffff),
-//    the same checksum zlib and PNG use, table-driven.
-//  * ByteWriter / ByteReader — explicit little-endian packing, so a registry
-//    written on any host loads on any other. No struct memcpy, no padding.
+//    the same checksum zlib and PNG use, computed slicing-by-8: eight
+//    compile-time tables advance it eight bytes per step, then one 4-byte
+//    step and a byte loop take the tail.
+//  * load_le / store_le — the one little-endian scalar load and store. They
+//    assemble values from bytes, so they need no alignment and assume no
+//    host byte order (the compiler folds them into one load or store).
+//  * ByteWriter / ByteReader — explicit little-endian packing on that pair,
+//    so a registry written on any host loads on any other. No struct
+//    memcpy, no padding. The wire codec (net/wire.h) uses the same pieces.
 //  * FormatError — a ropuf::Error subclass tagged with *which* structural
 //    defect was detected, so corruption tests (and operators) can tell a
 //    truncated download from a bit-rotted index from a bad record.
@@ -15,10 +21,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/error.h"
 
@@ -27,6 +36,31 @@ namespace ropuf::registry {
 /// CRC32 (IEEE, reflected) of `size` bytes. `seed` chains incremental
 /// updates: crc32(b, crc32(a)) == crc32(a + b).
 std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0);
+
+// Both loops are unrolled outright, so GCC folds them into one load or
+// store at -O2 as well as at -O3.
+
+/// The unsigned T stored little-endian in the sizeof(T) bytes at `p`.
+template <typename T>
+inline T load_le(const char* p) {
+  static_assert(std::is_unsigned_v<T> && sizeof(T) <= 8);
+  std::uint64_t v = 0;
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+  }
+  return static_cast<T>(v);
+}
+
+/// Stores `v` little-endian into the sizeof(T) bytes at `p`.
+template <typename T>
+inline void store_le(char* p, T v) {
+  static_assert(std::is_unsigned_v<T> && sizeof(T) <= 8);
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i));
+  }
+}
 
 /// The structural defect a registry load can detect. Each maps to exactly
 /// one check in the load path, so tests can assert the *right* check fired.
@@ -66,15 +100,27 @@ class ByteWriter {
   explicit ByteWriter(std::string& sink) : out_(&sink) {}
 
   void u8(std::uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   /// IEEE-754 doubles travel as their 64-bit pattern, so round-trips are
   /// bit-exact (including -0.0; the library never stores NaN margins).
-  void f64(double v);
+  void f64(double v) {
+    std::uint64_t pattern = 0;
+    static_assert(sizeof(pattern) == sizeof(v));
+    std::memcpy(&pattern, &v, sizeof(pattern));
+    put(pattern);
+  }
   void raw(std::string_view bytes) { out_->append(bytes); }
 
  private:
+  template <typename T>
+  void put(T v) {
+    char bytes[sizeof(T)];
+    store_le(bytes, v);
+    out_->append(bytes, sizeof(T));
+  }
+
   std::string* out_;
 };
 
@@ -188,25 +234,48 @@ class ImageBuilder {
 /// propagates.
 void write_file_atomic(const std::string& path, std::string_view bytes);
 
-/// Reads little-endian scalars off a byte view; any read past the end
-/// throws FormatError with the defect the caller is decoding under.
+/// Reads little-endian scalars off a byte view, one bounds check per field;
+/// any read past the end throws FormatError with the defect the caller is
+/// decoding under, and consumes nothing.
 class ByteReader {
  public:
   ByteReader(std::string_view bytes, Defect on_overrun)
       : bytes_(bytes), on_overrun_(on_overrun) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
+  std::uint8_t u8() { return take<std::uint8_t>(); }
+  std::uint16_t u16() { return take<std::uint16_t>(); }
+  std::uint32_t u32() { return take<std::uint32_t>(); }
+  std::uint64_t u64() { return take<std::uint64_t>(); }
+  double f64() {
+    const std::uint64_t pattern = u64();
+    double v = 0.0;
+    std::memcpy(&v, &pattern, sizeof(v));
+    return v;
+  }
+  /// Copies the next into.size() bytes into `into` (a nonce, a tag).
+  void raw(std::span<std::uint8_t> into) {
+    need(into.size());
+    if (!into.empty()) std::memcpy(into.data(), bytes_.data() + pos_, into.size());
+    pos_ += into.size();
+  }
 
   std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:
-  void need(std::size_t n) const;
+  template <typename T>
+  T take() {
+    need(sizeof(T));
+    const T v = load_le<T>(bytes_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+  void need(std::size_t n) const {
+    if (remaining() < n) overrun(n);
+  }
+  /// Throws the overrun FormatError; out of line, off the read path.
+  [[noreturn]] void overrun(std::size_t n) const;
 
   std::string_view bytes_;
   Defect on_overrun_;

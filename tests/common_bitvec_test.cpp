@@ -212,6 +212,27 @@ std::vector<std::uint64_t> packed_words(const BitVec& v) {
   return words;
 }
 
+TEST(BitVec, FromPackedBytesMatchesBitByBitSets) {
+  // 0..200 bits crosses every byte and word boundary of the packing and
+  // the inline word.
+  Rng rng(0x9ac);
+  for (std::size_t bits = 0; bits <= 200; ++bits) {
+    const BitVec want = random_bits(rng, bits);
+    std::string packed((bits + 7) / 8, '\0');
+    for (std::size_t i = 0; i < bits; ++i) {
+      if (want.get(i)) packed[i / 8] = static_cast<char>(packed[i / 8] | (1 << (i % 8)));
+    }
+    EXPECT_EQ(BitVec::from_packed_bytes(packed, bits), want) << "bits " << bits;
+  }
+}
+
+TEST(BitVec, FromPackedBytesRejectsAWrongLengthOrSetPadding) {
+  EXPECT_THROW(BitVec::from_packed_bytes(std::string(2, '\0'), 17), Error);
+  EXPECT_THROW(BitVec::from_packed_bytes(std::string(3, '\0'), 16), Error);
+  EXPECT_THROW(BitVec::from_packed_bytes("\x01\x02", 9), Error);  // bit 9 set
+  EXPECT_EQ(BitVec::from_packed_bytes("\x01\x01", 9), BitVec::from_string("100000001"));
+}
+
 TEST(BitVec, EverySizeAcrossTheInlineBoundaryBehavesAlike) {
   Rng rng(0x1b);
   for (const std::size_t n : kBoundarySizes) {

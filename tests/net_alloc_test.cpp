@@ -1,14 +1,17 @@
-// Heap allocations on the v1 serving path, and the heap a warm cache holds.
+// Heap allocations on the serving path, and the heap a warm cache holds.
 //
 // A warm v1 request goes from frame to answer through the payload decode,
 // a cache hit in the service, the challenge expansion, the gather from the
 // packed enrolled bits and the answer encoded into the connection's output
-// buffer; none of those steps may touch the allocator. This binary replaces
-// the global operator new with a counting one (counting_alloc.h), asserts
-// zero allocations over many calls of each step, and then drives a live
-// AuthServer to bound the allocations per batch of 256 v1 requests and of
-// 256 v2 proofs once the server is warm. It also bounds the live heap each
-// warm cache entry holds over a servebench-sized fleet.
+// buffer; none of those steps may touch the allocator. A warm v2 request
+// opens a session in the connection's flat table and has its challenge
+// encoded straight into that buffer, and allocates nothing either. This
+// binary replaces the global operator new with a counting one
+// (counting_alloc.h), asserts zero allocations over many calls of each
+// step, and then drives a live AuthServer to bound the allocations per
+// batch of 256 v1 requests, of 256 v2 requests and of 256 v2 proofs once
+// the server is warm. It also bounds the live heap each warm cache entry
+// holds over a servebench-sized fleet.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -98,20 +101,23 @@ TEST(V1Allocations, WarmVerifyAllocatesNothing) {
 
 TEST(V1Allocations, AppendingAnswersIntoAReservedBufferAllocatesNothing) {
   const net::WireResponse response{net::WireStatus::kReject, 3, 16};
+  const auth::Nonce nonce{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
   const std::string v1 = net::encode_response_frame(response);
   const std::string v2 = net::encode_response_frame_v2(77, response);
+  const std::string challenge = net::encode_challenge_frame(77, nonce);
+  const std::size_t round_bytes = v1.size() + v2.size() + challenge.size();
   std::string out;
-  out.reserve(kCalls * (v1.size() + v2.size()));
+  out.reserve(kCalls * round_bytes);
   EXPECT_EQ(allocations_over(kCalls,
                              [&](std::size_t) {
                                net::append_response_frame(out, response);
                                net::append_response_frame_v2(out, 77, response);
+                               net::append_challenge_frame(out, 77, nonce);
                              }),
             0u);
   // The appended frames are the encoded ones, byte for byte.
-  ASSERT_EQ(out.size(), kCalls * (v1.size() + v2.size()));
-  EXPECT_EQ(out.substr(0, v1.size()), v1);
-  EXPECT_EQ(out.substr(v1.size(), v2.size()), v2);
+  ASSERT_EQ(out.size(), kCalls * round_bytes);
+  EXPECT_EQ(out.substr(0, round_bytes), v1 + v2 + challenge);
 }
 
 TEST(V1Allocations, ChallengeExpansionAllocatesNothingUpToTheStackBound) {
@@ -319,12 +325,16 @@ TEST(ServedAllocations, V2ProofBatchesAllocateASmallConstantEach) {
   std::vector<char> pinned(net::encode_server_hello(net::kWireVersionV2).size());
   peer.recv_exact(pinned, pinned.size());
 
-  // One round: the requests and their challenges (unmeasured: each opens a
-  // session), then the proofs and their verdicts, measured.
+  // One round: the requests and their challenges, then the proofs and their
+  // verdicts. Each half is measured on its own; the client's proof encodes
+  // between them are not.
+  std::size_t measured_requests = 0;
   std::size_t measured = 0;
   const auto round = [&](bool measure) {
+    const std::size_t before_requests = counting_alloc::allocations.load();
     peer.send_all(requests);
     peer.recv_exact(challenges, challenge_bytes);
+    if (measure) measured_requests += counting_alloc::allocations.load() - before_requests;
     std::string proofs;
     std::string_view rest(challenges.data(), challenge_bytes);
     for (const service::ProofIntent& intent : intents) {
@@ -346,6 +356,9 @@ TEST(ServedAllocations, V2ProofBatchesAllocateASmallConstantEach) {
   for (std::size_t w = 0; w < 8; ++w) round(false);
   for (std::size_t b = 0; b < kBatches; ++b) round(true);
 
+  EXPECT_LE(measured_requests, kBatches * kPerBatchBound)
+      << measured_requests << " allocations over " << kBatches
+      << " request batches of " << kBatch;
   EXPECT_LE(measured, kBatches * kPerBatchBound)
       << measured << " allocations over " << kBatches << " proof batches of " << kBatch;
   const std::vector<net::WireResponse> decoded = decode_answers(answers, kBatch, true);

@@ -1,6 +1,7 @@
 // End-to-end server tests over real loopback sockets: verdict parity with
 // the offline batch engine at several thread budgets, backpressure,
-// deadline and connection-limit enforcement, and frame tampering over the
+// deadline and connection-limit enforcement, descriptor exhaustion (the
+// test lowers its own process's RLIMIT_NOFILE), and frame tampering over the
 // wire (the server must answer an error frame or close cleanly — never
 // crash; the ASan/UBSan CI job runs this suite too).
 #include "net/server.h"
@@ -8,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -478,6 +482,135 @@ TEST(AuthServer, StalledReaderPastTheWriteBoundIsClosedAsASlowConsumer) {
   }
   ::close(fd);
   EXPECT_LT(got, copies * requests.size() * frame_bytes);
+  obs::set_metrics_enabled(false);
+}
+
+// ------------------------------------------------- descriptor exhaustion
+
+/// Lowers this process's soft RLIMIT_NOFILE to `soft` for its lifetime and
+/// restores the saved limits on the way out, whatever the test asserted.
+class LoweredDescriptorLimit {
+ public:
+  explicit LoweredDescriptorLimit(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~LoweredDescriptorLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  LoweredDescriptorLimit(const LoweredDescriptorLimit&) = delete;
+  LoweredDescriptorLimit& operator=(const LoweredDescriptorLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+/// Closes the descriptors it holds when the test returns.
+struct Descriptors {
+  std::vector<int> fds;
+  ~Descriptors() {
+    for (const int fd : fds) ::close(fd);
+  }
+  /// Closes the first `n` and forgets them.
+  void close_first(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) ::close(fds[i]);
+    fds.erase(fds.begin(), fds.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+};
+
+/// The digest of the verdicts `answers` (v1 response frames) carry.
+std::uint64_t answers_digest(std::string_view answers) {
+  std::vector<service::AuthVerdict> verdicts;
+  while (!answers.empty()) {
+    const net::ExtractResult extracted = net::try_extract_frame(answers);
+    if (extracted.status != net::ExtractResult::Status::kFrame) break;
+    verdicts.push_back(
+        net::auth_verdict(net::decode_response_payload(extracted.frame.payload)));
+    answers.remove_prefix(extracted.frame.frame_bytes);
+  }
+  return service::verdict_digest(verdicts);
+}
+
+TEST(AuthServer, DescriptorExhaustionBacksOffAcceptAndRecovers) {
+  obs::set_metrics_enabled(true);
+  const obs::Counter& backoffs = obs::Registry::instance().counter("net.accept_backoffs");
+  const std::uint64_t backoffs_before = backoffs.value();
+  net::ServerOptions options;
+  options.accept_backoff_ms = 10;
+  ServerHarness harness(options);
+  const auto requests = small_workload(harness.registry(), {}, 16);
+  std::string blob;
+  for (const service::AuthRequest& request : requests) {
+    blob += net::encode_request_frame(request);
+  }
+  const std::size_t answer_bytes =
+      requests.size() * net::encode_response_frame(net::WireResponse{}).size();
+  const service::AuthService offline(&harness.registry(), {});
+  const std::uint64_t want = service::verdict_digest(offline.verify_batch(requests));
+
+  net::AuthClient early = harness.client();
+  const auto early_digest = [&] {
+    std::vector<service::AuthVerdict> verdicts;
+    for (const net::WireResponse& response : early.send_batch(requests)) {
+      verdicts.push_back(net::auth_verdict(response));
+    }
+    return service::verdict_digest(verdicts);
+  };
+  ASSERT_EQ(early_digest(), want);
+
+  // Every descriptor the rest of the test uses exists before the limit
+  // drops: the sockets of the clients that will wait, and placeholders
+  // whose release later makes room for the server.
+  constexpr std::size_t kWaiting = 3;
+  Descriptors waiting;
+  Descriptors placeholders;
+  for (std::size_t i = 0; i < kWaiting; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    waiting.fds.push_back(fd);
+  }
+  for (std::size_t i = 0; i < kWaiting + 1; ++i) {
+    const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(fd, 0);
+    placeholders.fds.push_back(fd);
+  }
+  // The lowest free descriptor number: below it every number is taken, so
+  // with the soft limit there the server's accept() fails with EMFILE.
+  const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  const LoweredDescriptorLimit limit(static_cast<rlim_t>(lowest_free));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(harness.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (const int fd : waiting.fds) {
+    // The handshake completes in the listener's backlog; the request waits
+    // in the socket until the server can accept.
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::send(fd, blob.data(), blob.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(blob.size()));
+  }
+  ASSERT_TRUE(wait_past(backoffs, backoffs_before)) << "accept() never backed off";
+  // The connection accepted before the limit is still served, correctly.
+  EXPECT_EQ(early_digest(), want);
+
+  // Free descriptors: the server accepts the waiting clients and answers
+  // every request they sent while they waited.
+  placeholders.close_first(kWaiting + 1);
+  for (const int fd : waiting.fds) {
+    std::string answers(answer_bytes, '\0');
+    std::size_t got = 0;
+    while (got < answers.size()) {
+      const ssize_t n = ::recv(fd, answers.data() + got, answers.size() - got, 0);
+      ASSERT_GT(n, 0) << "waiting client got " << got << " of " << answer_bytes << " bytes";
+      got += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(answers_digest(answers), want);
+  }
   obs::set_metrics_enabled(false);
 }
 

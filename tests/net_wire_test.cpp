@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "auth/auth.h"
 #include "common/bitvec.h"
 #include "service/auth_service.h"
 
@@ -41,20 +43,27 @@ net::ExtractResult expect_defect(const std::string& frame, net::FrameDefect want
 }
 
 TEST(Wire, RequestRoundTripPreservesEveryField) {
-  const service::AuthRequest request = sample_request(13);
-  const std::string frame = net::encode_request_frame(request);
+  // 0..300 bits crosses the byte, word and inline-word boundaries of both
+  // the packing and the BitVec the decoder builds.
+  for (std::size_t bits = 0; bits <= 300; ++bits) {
+    const service::AuthRequest request = sample_request(bits);
+    const std::string frame = net::encode_request_frame(request);
 
-  const net::ExtractResult result = net::try_extract_frame(frame);
-  ASSERT_EQ(result.status, net::ExtractResult::Status::kFrame);
-  EXPECT_EQ(result.frame.type, net::FrameType::kAuthRequest);
-  EXPECT_EQ(result.frame.frame_bytes, frame.size());
+    const net::ExtractResult result = net::try_extract_frame(frame);
+    ASSERT_EQ(result.status, net::ExtractResult::Status::kFrame) << "bits " << bits;
+    EXPECT_EQ(result.frame.type, net::FrameType::kAuthRequest);
+    EXPECT_EQ(result.frame.frame_bytes, frame.size());
 
-  const service::AuthRequest decoded = net::decode_request_payload(result.frame.payload);
-  EXPECT_EQ(decoded.device_id, request.device_id);
-  EXPECT_EQ(decoded.challenge, request.challenge);
-  ASSERT_EQ(decoded.response.size(), request.response.size());
-  for (std::size_t i = 0; i < request.response.size(); ++i) {
-    EXPECT_EQ(decoded.response.get(i), request.response.get(i)) << "bit " << i;
+    const service::AuthRequest decoded =
+        net::decode_request_payload(result.frame.payload);
+    EXPECT_EQ(decoded.device_id, request.device_id);
+    EXPECT_EQ(decoded.challenge, request.challenge);
+    ASSERT_EQ(decoded.response.size(), request.response.size());
+    for (std::size_t i = 0; i < request.response.size(); ++i) {
+      EXPECT_EQ(decoded.response.get(i), request.response.get(i))
+          << "bits " << bits << ", bit " << i;
+    }
+    EXPECT_EQ(decoded.response, request.response) << "bits " << bits;
   }
 }
 
@@ -194,16 +203,23 @@ TEST(WireDefect, RequestPayloadBitCountMismatchThrows) {
 }
 
 TEST(WireDefect, NonzeroPaddingBitsThrow) {
-  // 13 bits leave 3 padding bits in the final byte; set one of them.
-  const std::string frame = valid_frame();
-  std::string payload(frame.substr(net::kFrameHeaderBytes));
-  payload[payload.size() - 1] = static_cast<char>(
-      static_cast<unsigned char>(payload[payload.size() - 1]) | 0x80);
-  try {
-    net::decode_request_payload(payload);
-    FAIL() << "decode accepted noncanonical padding";
-  } catch (const net::WireError& e) {
-    EXPECT_EQ(e.defect(), net::FrameDefect::kBadPayload);
+  // Every bit count that leaves padding in the final byte (bits % 8 in
+  // 1..7), and every one of those padding bits set alone.
+  for (std::size_t bits = 9; bits <= 15; ++bits) {
+    const std::string frame = net::encode_request_frame(sample_request(bits));
+    const std::string payload(frame.substr(net::kFrameHeaderBytes));
+    for (std::size_t bit = bits % 8; bit < 8; ++bit) {
+      std::string tampered = payload;
+      tampered.back() = static_cast<char>(static_cast<unsigned char>(tampered.back()) |
+                                          (1u << bit));
+      try {
+        net::decode_request_payload(tampered);
+        FAIL() << "decode accepted padding bit " << bit << " of a " << bits
+               << "-bit request";
+      } catch (const net::WireError& e) {
+        EXPECT_EQ(e.defect(), net::FrameDefect::kBadPayload);
+      }
+    }
   }
 }
 
@@ -212,6 +228,78 @@ TEST(WireDefect, ResponsePayloadWrongSizeOrUnknownStatusThrows) {
   std::string payload(13, '\0');
   payload[0] = 9;  // one past kBudgetExhausted
   EXPECT_THROW(net::decode_response_payload(payload), net::WireError);
+}
+
+// ------------------------------------------------------------ byte goldens
+
+/// Hex of a byte string, two lowercase digits per byte.
+std::string hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0x0f];
+  }
+  return out;
+}
+
+TEST(Wire, EncodedFramesArePinnedByteForByte) {
+  // Every encoder's frame, pinned: a codec change that moves one byte of
+  // one field (or of its CRC) breaks old peers, and fails here first.
+  const net::WireResponse response{net::WireStatus::kRateLimited,
+                                   0x0102030405060708ull, 0x0a0b0c0du};
+  const std::uint64_t rid = 0x0123456789abcdefull;
+  auth::Nonce nonce{};
+  for (std::size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<std::uint8_t>(17 * i + 1);
+  }
+  auth::Tag tag{};
+  for (std::size_t i = 0; i < tag.size(); ++i) {
+    tag[i] = static_cast<std::uint8_t>(255 - 7 * i);
+  }
+  const struct {
+    const char* name;
+    std::string frame;
+    const char* want;
+  } cases[] = {
+      {"v1 request, 13 bits", net::encode_request_frame(sample_request(13)),
+       "5250414601000100160000006461b8c388776655443322110df0fecaefbeadde0d0000004912"},
+      {"v1 request, 16 bits", net::encode_request_frame(sample_request(16)),
+       "52504146010001001600000001f3489188776655443322110df0fecaefbeadde100000004992"},
+      {"v1 request, 64 bits", net::encode_request_frame(sample_request(64)),
+       "52504146010001001c000000bd1c693588776655443322110df0fecaefbeadde40000000"
+       "4992244992244992"},
+      {"v1 request, 65 bits", net::encode_request_frame(sample_request(65)),
+       "52504146010001001d000000259071ba88776655443322110df0fecaefbeadde41000000"
+       "499224499224499200"},
+      {"v1 response", net::encode_response_frame(response),
+       "52504146010002000d0000001f9be2270708070605040302010d0c0b0a"},
+      {"client hello", net::encode_client_hello(net::kWireVersionV2),
+       "5250414601000300020000007d70ef730200"},
+      {"server hello", net::encode_server_hello(net::kWireVersionV2),
+       "5250414601000400020000007d70ef730200"},
+      {"v2 request", net::encode_request_frame_v2(rid, 0xfedcba9876543210ull),
+       "5250414602000100100000001f97f474efcdab89674523011032547698badcfe"},
+      {"challenge", net::encode_challenge_frame(rid, nonce),
+       "525041460200050018000000b87bed0defcdab8967452301"
+       "0112233445566778899aabbccddeef00"},
+      {"proof", net::encode_proof_frame(rid, tag),
+       "52504146020006002800000034cd8204efcdab8967452301"
+       "fff8f1eae3dcd5cec7c0b9b2aba49d968f88817a736c655e575049423b342d26"},
+      {"v2 response", net::encode_response_frame_v2(rid, response),
+       "52504146020002001500000019faa8dfefcdab89674523010708070605040302010d0c0b0a"},
+  };
+  for (const auto& c : cases) EXPECT_EQ(hex(c.frame), c.want) << c.name;
+
+  // The appending encoders write the same bytes as the fresh-string ones.
+  std::string appended;
+  net::append_response_frame(appended, response);
+  net::append_response_frame_v2(appended, rid, response);
+  net::append_challenge_frame(appended, rid, nonce);
+  EXPECT_EQ(appended, net::encode_response_frame(response) +
+                          net::encode_response_frame_v2(rid, response) +
+                          net::encode_challenge_frame(rid, nonce));
 }
 
 // ---------------------------------------------------------------- streams

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -109,10 +111,60 @@ TEST(RegistryFormat, Crc32MatchesTheIeeeCheckValue) {
   EXPECT_EQ(crc32(""), 0x00000000u);
 }
 
+/// The CRC32 as one table lookup per byte: the reference the word-at-a-time
+/// crc32 must match on every input.
+std::uint32_t bytewise_crc32(std::string_view bytes, std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (const char byte : bytes) {
+    c = table[(c ^ static_cast<std::uint8_t>(byte)) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+/// `n` seeded random bytes.
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_below(256));
+  return bytes;
+}
+
+TEST(RegistryFormat, Crc32MatchesABytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..300 at buffer offsets 0..7 take every split into 8-byte
+  // steps, the 4-byte step and the byte tail, at every alignment of the
+  // word loads (the sanitize job runs this under UBSan's alignment check).
+  const std::string buffer = random_bytes(300 + 8, 0xc4c32);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::string_view bytes = std::string_view(buffer).substr(offset, length);
+      ASSERT_EQ(crc32(bytes), bytewise_crc32(bytes))
+          << "offset " << offset << ", length " << length;
+      ASSERT_EQ(crc32(bytes, 0x9e3779b9u), bytewise_crc32(bytes, 0x9e3779b9u))
+          << "seeded, offset " << offset << ", length " << length;
+    }
+  }
+}
+
 TEST(RegistryFormat, Crc32ChainsIncrementally) {
   const std::string a = "registry";
   const std::string b = "sections";
   EXPECT_EQ(crc32(b, crc32(a)), crc32(a + b));
+  // At every split of a 300-byte input.
+  const std::string bytes = random_bytes(300, 0x5b117);
+  const std::string_view view(bytes);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    ASSERT_EQ(crc32(view.substr(split), crc32(view.substr(0, split))), crc32(view))
+        << "split " << split;
+  }
 }
 
 TEST(RegistryFormat, ByteRoundTripIsExact) {
@@ -124,6 +176,9 @@ TEST(RegistryFormat, ByteRoundTripIsExact) {
   writer.u64(0x0123456789abcdefull);
   writer.f64(-0.0);
   writer.f64(1.0 / 3.0);
+  writer.raw("\x01\x02\xfe");
+  // Little-endian whatever the host: the low byte of each scalar first.
+  EXPECT_EQ(bytes.substr(0, 7), std::string("\xab\xef\xbe\xef\xbe\xad\xde", 7));
 
   ByteReader reader(bytes, Defect::kBadRecord);
   EXPECT_EQ(reader.u8(), 0xab);
@@ -132,6 +187,9 @@ TEST(RegistryFormat, ByteRoundTripIsExact) {
   EXPECT_EQ(reader.u64(), 0x0123456789abcdefull);
   EXPECT_TRUE(std::signbit(reader.f64()));
   EXPECT_EQ(reader.f64(), 1.0 / 3.0);
+  std::array<std::uint8_t, 3> raw{};
+  reader.raw(raw);
+  EXPECT_EQ(raw, (std::array<std::uint8_t, 3>{0x01, 0x02, 0xfe}));
   EXPECT_TRUE(reader.exhausted());
 }
 
@@ -142,7 +200,23 @@ TEST(RegistryFormat, ReaderOverrunThrowsTheConfiguredDefect) {
     FAIL() << "expected FormatError";
   } catch (const FormatError& e) {
     EXPECT_EQ(e.defect(), Defect::kBadRecord);
+    EXPECT_STREQ(e.what(),
+                 "registry format error [bad-record]: read of 8 bytes at offset 0 "
+                 "overruns the 3-byte region");
   }
+  // A bulk read overruns the same way, and a failed read consumes nothing.
+  EXPECT_EQ(reader.u8(), 'a');
+  std::array<std::uint8_t, 3> raw{};
+  try {
+    reader.raw(raw);
+    FAIL() << "expected FormatError";
+  } catch (const FormatError& e) {
+    EXPECT_EQ(e.defect(), Defect::kBadRecord);
+    EXPECT_STREQ(e.what(),
+                 "registry format error [bad-record]: read of 3 bytes at offset 1 "
+                 "overruns the 3-byte region");
+  }
+  EXPECT_EQ(reader.remaining(), 2u);
 }
 
 // ------------------------------------------------------------------ builder

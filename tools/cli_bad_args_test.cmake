@@ -121,3 +121,18 @@ if(EXISTS ${misspelled})
 endif()
 expect_rejected("unknown option --bogus" ${SERVE} --devices 4 --bogus 1)
 expect_rejected("unknown option --rate-brust" ${SOAK} --devices 4 --rate-brust 16)
+
+# A flag the chosen mode does not use is unread too: v2 proofs meet no
+# Hamming threshold, admission or detector, and auth-client builds no
+# service, so it reads no cache flag (and refuses one before it connects:
+# nothing listens on port 1).
+expect_rejected("unknown option --crp-budget"
+                ${CLI} auth-batch --devices 4 --requests 64 --protocol 2 --rate-burst 1
+                --rate-interval 1000 --crp-budget 1 --detector on)
+expect_rejected("unknown option --detector"
+                ${CLI} auth-batch --devices 4 --requests 64 --protocol 2 --detector on)
+expect_rejected("unknown option --cache"
+                ${CLI} auth-client --devices 4 --port 1 --cache 8)
+expect_rejected("unknown option --bits"
+                ${CLI} auth-batch --devices 4 --requests 64 --protocol 2 --bits 99
+                --max-hd 50)

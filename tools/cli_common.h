@@ -225,19 +225,34 @@ inline bool switch_arg(const Args& args, const std::string& key, bool fallback) 
   return value == "on";
 }
 
-/// Shared --bits/--max-hd/--cache handling for the verification commands,
-/// plus the admission knobs (--rate-burst/--rate-interval/--crp-budget/
-/// --reuse-budget, all default 0 = off, and --admission-devices; see
-/// service/admission.h) and the stream-detector switch (--detector on|off;
-/// see service/detector.h — suspicion escalates the admission penalties, so
-/// the detector only bites when admission knobs are configured too).
-inline service::AuthServiceOptions auth_options_from_args(const Args& args) {
+/// --bits and --max-hd: the response size and accept threshold every
+/// verification command reads, auth-client included, which builds no
+/// service but synthesizes its requests at --bits and prints both.
+inline service::AuthServiceOptions verify_options_from_args(const Args& args) {
   service::AuthServiceOptions opts;
   opts.response_bits = static_cast<std::size_t>(u64_arg(args, "bits", 16));
   opts.max_distance = static_cast<std::size_t>(u64_arg(args, "max-hd", 2));
+  return opts;
+}
+
+/// The options of a command that builds a service: the cache capacities
+/// (--cache, --unknown-cache) and, when `v1` (the service verifies v1
+/// requests), verify_options_from_args, the admission knobs (--rate-burst/
+/// --rate-interval/--crp-budget/--reuse-budget, all default 0 = off, and
+/// --admission-devices; see service/admission.h) and the stream-detector
+/// switch (--detector on|off; see service/detector.h — suspicion escalates
+/// the admission penalties, so the detector only bites when admission knobs
+/// are configured too). v2 proofs meet none of those, so a command that
+/// verifies only proofs passes false and leaves them unread, which makes
+/// them errors.
+inline service::AuthServiceOptions auth_options_from_args(const Args& args,
+                                                          bool v1 = true) {
+  service::AuthServiceOptions opts =
+      v1 ? verify_options_from_args(args) : service::AuthServiceOptions{};
   opts.cache_capacity = static_cast<std::size_t>(u64_arg(args, "cache", 4096));
   opts.unknown_cache_capacity =
       static_cast<std::size_t>(u64_arg(args, "unknown-cache", 256));
+  if (!v1) return opts;
   opts.admission.rate_burst = u64_arg(args, "rate-burst", 0);
   opts.admission.rate_interval = u64_arg(args, "rate-interval", 0);
   opts.admission.crp_budget = u64_arg(args, "crp-budget", 0);

@@ -557,11 +557,12 @@ std::vector<service::ProofRequest> proof_requests_from_intents(
 
 int cmd_auth_batch(const Args& args) {
   const registry::Registry reg = registry_from_args(args);
-  const service::AuthServiceOptions opts = auth_options_from_args(args);
-  const service::AuthService svc(&reg, opts);
   const std::uint16_t protocol = protocol_arg(args);
+  // v2 proofs meet no Hamming threshold, admission or detector, and carry no
+  // readout to inject faults into, so protocol 2 leaves those flags unread.
+  const service::AuthServiceOptions opts = auth_options_from_args(args, protocol == 1);
+  const service::AuthService svc(&reg, opts);
   service::WorkloadSpec workload = workload_from_args(args);
-  // v2 proofs carry no readout to inject faults into.
   auto injector = protocol == 1 ? fault_injector_from_args(args) : std::nullopt;
   args.reject_unread();
 
@@ -614,7 +615,7 @@ void print_client_answers(const std::vector<net::WireResponse>& responses) {
 int cmd_auth_client(const Args& args) {
   ROPUF_REQUIRE(args.has("port"), "--port is required");
   const registry::Registry reg = registry_from_args(args);
-  const service::AuthServiceOptions opts = auth_options_from_args(args);
+  const service::AuthServiceOptions opts = verify_options_from_args(args);
   const std::uint16_t protocol = protocol_arg(args);
   const service::WorkloadSpec workload = workload_from_args(args);
 
@@ -664,6 +665,8 @@ int usage() {
                "          [--rate-burst N --rate-interval T] [--crp-budget N]\n"
                "          [--reuse-budget N] [--admission-devices N]\n"
                "          [--detector on|off] [--protocol 1|2]\n"
+               "          (--bits, --max-hd, the --fault-*, admission and\n"
+               "          --detector flags are --protocol 1 only)\n"
                "  auth-client --port P [--host A] [--window W] [--protocol 1|2]\n"
                "          [--registry F | --devices N --seed S ...] [--requests N]\n"
                "          [--bits B] [--max-hd D] [--flip-rate R] [--forge-rate R]\n"
